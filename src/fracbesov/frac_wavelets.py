@@ -14,8 +14,6 @@ moment / Hoelder conditions on a grid.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,14 +25,12 @@ from .specfun import gbinom_row
 from .splines import (
     FractionalSpline,
     TruncationError,
+    _is_nat,
+    beta_plus_filtered,
     beta_star_integer_samples,
     frac_bspline,
     frac_bspline_derivative,
 )
-
-
-def _is_nat(a: float) -> bool:
-    return a == math.floor(a) and a >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +63,18 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
 def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1e-6):
     """psi_+^alpha or psi_-^alpha at x; series truncated at |k| <= trunc.
 
+    With u = 2x (causal) or u = -2x (anticausal),
+
+        psi_+(x) = sum_k q_k beta_+(u - k),   psi_-(x) = sum_k q_{-k} beta_+(u - k):
+
+    the causal spline with coefficients q (reversed for psi_-) on
+    -trunc..trunc, evaluated at u by splines.beta_plus_filtered.  Every
+    argument u - k shares the offset f = u - floor(u), so the distinct
+    offsets of the input points are tabulated once on the lattice f + m,
+    m = 0..max(floor(u)) + trunc, with at most 4M elements per block, and
+    the table is convolved with the filter; the argument matrix 2x - k is
+    never formed.  Points with floor(u) + trunc < 0 are exactly 0.
+
     The one-sided spline terminates the sum on one side exactly; on the
     other side the omitted terms are bounded by the filter edge value times
     the lattice tail of the spline envelope.  A TruncationError means the
@@ -79,11 +87,6 @@ def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     q = wavelet_filter(alpha, trunc)
-    spec = FractionalSpline(alpha=alpha, variant=variant)
-    ks = np.arange(-trunc, trunc + 1)
-    args = 2.0 * xs[:, None] - ks[None, :]
-    vals = frac_bspline(spec, args.ravel()).reshape(args.shape)
-    out = vals @ q
     # causal support kills k > 2x; anticausal kills k < 2x
     if variant == "causal":
         margin = 2.0 * float(xs.min()) + trunc
@@ -101,6 +104,10 @@ def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1
             f"psi tail estimate {est:.2e} exceeds {tail_tol:.0e} at trunc={trunc}; "
             "increase trunc or shrink the evaluation window"
         )
+    if variant == "causal":
+        out = beta_plus_filtered(alpha, 2.0 * xs, q, -trunc)
+    else:
+        out = beta_plus_filtered(alpha, -2.0 * xs, q[::-1], -trunc)
     return float(out[0]) if scalar else out
 
 
@@ -247,10 +254,6 @@ class MoleculeReport:
         return True
 
 
-def _thread_count() -> int:
-    return max(1, int(os.environ.get("FRACBESOV_THREADS", "1")))
-
-
 def molecule_check(
     fn,
     Q: tuple[int, int],
@@ -336,7 +339,6 @@ def molecule_check(
             }
 
         g = s_floor
-        pairs_i = np.arange(grid.size - 1)
         strides = [1, 4, 16, 64]
         xs_list, ys_list = [], []
         for st in strides:
@@ -351,26 +353,15 @@ def molecule_check(
         # discretized sup over |z| <= |x-y| of the shifted envelope
         zs = np.linspace(-1.0, 1.0, 65)
         sup_env = np.zeros_like(xs)
-        n_threads = _thread_count()
-
-        def chunk_sup(idx):
+        # four blocks bound the (points x 65) temporaries
+        for idx in np.array_split(np.arange(xs.size), 4):
             z = np.outer(h[idx], zs)
             shifted = np.abs(xs[idx, None] - z - x_q)
             if nu >= 1:
                 e = (1.0 + scale * shifted) ** (-M)
             else:
                 e = (1.0 + shifted) ** (-M)
-            return idx, e.max(axis=1)
-
-        blocks = np.array_split(np.arange(xs.size), max(1, n_threads * 4))
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as ex:
-                for idx, res in ex.map(chunk_sup, blocks):
-                    sup_env[idx] = res
-        else:
-            for blk in blocks:
-                idx, res = chunk_sup(blk)
-                sup_env[idx] = res
+            sup_env[idx] = e.max(axis=1)
         if nu >= 1:
             bound = 2.0 ** (nu / 2.0 + nu * g + nu * delta) * h**delta * sup_env
         else:
@@ -381,7 +372,6 @@ def molecule_check(
             "bound": None,
             "ratio": float(np.max(diff[ok] / bound[ok])),
         }
-        _ = pairs_i
     return report
 
 
@@ -462,7 +452,6 @@ class WaveletSystem:
         if self.kind == "natural-BL":
             return (self.shift_s - self.order, self.shift_s + self.order + 1.0)
         lo = -self.trunc / 2.0 - 2.0 * self.comb_n
-        hi = self.trunc / 2.0
         if self.variant == "causal":
             return (self.shift_s + lo, self.shift_s + pad)
         return (self.shift_s - pad, self.shift_s - lo)

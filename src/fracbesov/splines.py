@@ -48,8 +48,6 @@ class FractionalSpline:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == "symmetric" and _is_even_int(self.alpha) and self.alpha <= 0:
-            raise ValueError("symmetric variant undefined here")
         if self.trunc_terms < 1:
             raise ValueError("trunc_terms must be >= 1")
 
@@ -146,8 +144,106 @@ def truncated_power(x, alpha: float, kind: str):
 # fractional B-splines
 # ---------------------------------------------------------------------------
 
+# elements of working memory per block of the lattice evaluator (32 MB)
+_BLOCK = 4_000_000
+
+
+def _toeplitz_product(A: np.ndarray, h: np.ndarray, n0: int, n1: int) -> np.ndarray:
+    """out[:, n - n0] = sum_j A[:, j] h[n - j] for n0 <= n < n1.
+
+    The sum runs over 0 <= j < A.shape[1] and 0 <= n - j < h.size: the rows
+    of A causally convolved with h, columns n0..n1-1 only.  Each block of
+    columns is one product with a slice of the lower-triangular Toeplitz
+    matrix of h, a strided view of at most _BLOCK elements, so every output
+    entry is a plain dot product over its own terms.  A single coefficient
+    only scales the columns n0..n1-1 of A.
+    """
+    if h.size == 1:
+        return h[0] * A[:, n0:n1]
+    out = np.zeros((A.shape[0], n1 - n0))
+    step = max(1, _BLOCK // max(1, min(A.shape[1], n1 - n0 + h.size)))
+    for c0 in range(n0, n1, step):
+        c1 = min(n1, c0 + step)
+        j0, j1 = max(0, c0 - h.size + 1), min(A.shape[1], c1)
+        if j0 >= j1:
+            continue
+        # lags c - j run from c0 - j1 + 1 to c1 - 1 - j0; L[j, c] = h[c - j]
+        lags = np.arange(c0 - j1 + 1, c1 - j0)
+        inside = (lags >= 0) & (lags < h.size)
+        band = np.where(inside, h[np.clip(lags, 0, h.size - 1)], 0.0)
+        L = np.lib.stride_tricks.sliding_window_view(band, c1 - c0)[::-1]
+        out[:, c0 - n0 : c1 - n0] = A[:, j0:j1] @ L
+    return out
+
+
+def beta_plus_table(alpha: float, f: np.ndarray, mmax: int) -> np.ndarray:
+    """T[i, m] = beta_+^alpha(f[i] + m) for offsets 0 <= f[i] < 1, m = 0..mmax.
+
+    For a fixed offset f the series is a causal convolution on the lattice
+    f + N (Unser & Blu, SIAM Rev. 2000):
+
+        beta_+^alpha(f + m) = 1/Gamma(alpha+1) sum_{k=0}^{m} (-1)^k binom(alpha+1, k) (f + m - k)^alpha,
+
+    so the powers (f + j)^alpha are raised once per offset and the signed
+    binomial row is applied as a lower-triangular Toeplitz product.  Only
+    k <= m enters, so no clipped (y-k)_+ = 0 term is ever raised to the
+    power alpha, which keeps lowered orders alpha in (-1, 0) finite; the
+    one remaining zero base, f = 0 at m = k, is the truncated power at 0
+    and counts as 0, the left limit.  Each entry is summed over its own
+    terms as in the series, so its rounding error is that of the series
+    at the same point, independent of mmax.  Working memory is the two
+    (len(f), mmax+1) arrays plus one Toeplitz block of at most _BLOCK
+    elements; callers bound len(f) * (mmax+1) themselves.  Cost is
+    len(f) * (mmax+1) powers and about len(f) * mmax^2 / 2 multiply-adds.
+    """
+    f = np.asarray(f, dtype=float)
+    coeffs = gbinom_row(alpha + 1.0, mmax)
+    coeffs[1::2] *= -1.0
+    coeffs /= math.gamma(alpha + 1.0)
+    with np.errstate(divide="ignore"):
+        G = (f[:, None] + np.arange(mmax + 1)) ** alpha
+    G[f == 0.0, 0] = 0.0
+    return _toeplitz_product(G, coeffs, 0, mmax + 1)
+
+
+def beta_plus_filtered(alpha: float, u, h: np.ndarray, k0: int) -> np.ndarray:
+    """sum_i h[i] beta_+^alpha(u - k0 - i) at every point of u.
+
+    This is the causal spline with coefficients h on the integers k0,
+    k0 + 1, ...  Each point splits exactly into u = m + f, m = floor(u), and
+    every argument u - k0 - i shares its offset f.  The distinct offsets of
+    the input are tabulated once by beta_plus_table on m = 0..max(m) - k0,
+    the table rows are convolved with h, and each point reads column m - k0
+    of its offset's row.  Points with m - k0 < 0 are exactly 0.  Offsets
+    are taken in chunks so that the table and its convolution hold at most
+    _BLOCK elements each; no (points x len(h)) argument matrix is formed.
+    """
+    u = np.asarray(u, dtype=float)
+    m = np.floor(u)
+    f = u - m
+    col = m.astype(np.intp) - k0
+    out = np.zeros_like(u)
+    live = np.flatnonzero(col >= 0)
+    if live.size == 0:
+        return out
+    offsets, row = np.unique(f[live], return_inverse=True)
+    col = col[live]
+    mmax, n0 = int(col.max()), int(col.min())
+    rows = max(1, _BLOCK // (mmax + 1))
+    for r0 in range(0, offsets.size, rows):
+        T = beta_plus_table(alpha, offsets[r0 : r0 + rows], mmax)
+        C = _toeplitz_product(T, h, n0, mmax + 1)
+        sel = (row >= r0) & (row < r0 + rows)
+        out[live[sel]] = C[row[sel] - r0, col[sel] - n0]
+    return out
+
+
 def _beta_plus_values(alpha: float, y: np.ndarray) -> np.ndarray:
-    """Causal beta_+^alpha on an array; the series is locally finite.
+    """Causal beta_+^alpha on an array, read from the lattice table.
+
+    beta_+(y) is column floor(y) of the table row of the offset y - floor(y)
+    (beta_plus_filtered with the single coefficient 1), so inputs that share
+    an offset (integer translates, dyadic grids) share one table row.
 
     At natural orders the series telescopes to the exact recursion value,
     beta_+^n = B_n, which anchors all golden tests; natural alpha is routed
@@ -156,24 +252,7 @@ def _beta_plus_values(alpha: float, y: np.ndarray) -> np.ndarray:
     if _is_nat(alpha):
         n = int(alpha)
         return bspline_natural(n, y)
-    out = np.zeros_like(y)
-    pos = y > 0
-    if not np.any(pos):
-        return out
-    yp = y[pos]
-    kmax = int(np.floor(yp.max()))
-    coeffs = gbinom_row(alpha + 1.0, kmax)
-    coeffs[1::2] *= -1.0
-    acc = np.zeros_like(yp)
-    # chunk over k to bound the broadcast size
-    step = max(1, int(4_000_000 // max(1, yp.size)))
-    for k0 in range(0, kmax + 1, step):
-        ks = np.arange(k0, min(k0 + step, kmax + 1))
-        d = yp[:, None] - ks[None, :]
-        np.maximum(d, 0.0, out=d)
-        acc += (d**alpha) @ coeffs[ks]
-    out[pos] = acc / math.gamma(alpha + 1.0)
-    return out
+    return beta_plus_filtered(alpha, y, np.ones(1), 0)
 
 
 @lru_cache(maxsize=64)
@@ -295,10 +374,11 @@ def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
     y = np.atleast_1d(np.asarray(x, dtype=float)) - spec.shift_k
     if spec.variant == "anticausal":
         y = -y
-    a = spec.alpha - gamma
-    acc = np.zeros_like(y)
-    for j in range(gamma + 1):
-        acc += (-1) ** j * math.comb(gamma, j) * _beta_plus_values(a, y - j)
+    # the translates y - j share their offsets: one lattice evaluation
+    js = np.arange(gamma + 1)
+    weights = np.array([(-1.0) ** j * math.comb(gamma, j) for j in js])
+    vals = _beta_plus_values(spec.alpha - gamma, (y[None, :] - js[:, None]).ravel())
+    acc = weights @ vals.reshape(js.size, y.size)
     if spec.variant == "anticausal" and gamma % 2:
         acc = -acc
     return float(acc[0]) if scalar else acc

@@ -84,6 +84,27 @@ class TestPsi:
             direct = psi_frac(alpha, "causal", float(x), trunc=K)
             assert expr3(float(x)) == pytest.approx(direct, abs=1e-8)
 
+    @pytest.mark.parametrize("alpha", [0.5, 5 / 3])
+    def test_causal_series_oracle(self, alpha):
+        # psi_+(x) = sum_k q_k beta_+(2x - k), assembled from the filter and
+        # frac_bspline; the mixed array holds shared and distinct offsets and
+        # points with 2x + trunc < 0, where every term vanishes.  tail_tol is
+        # lifted so that the truncated series itself is compared there.
+        K = 40
+        rng = np.random.default_rng(2)
+        xs = np.concatenate(
+            [np.arange(-6.0, 12.0, 0.25), rng.uniform(-22.0, 15.0, 25),
+             [-20.5, -25.0, -31.3]]
+        )
+        q = wavelet_filter(alpha, K)
+        spec = FractionalSpline(alpha=alpha)
+        ks = np.arange(-K, K + 1)
+        direct = np.array([float(q @ frac_bspline(spec, 2 * x - ks)) for x in xs])
+        got = psi_frac(alpha, "causal", xs, trunc=K, tail_tol=1.0)
+        assert got == pytest.approx(direct, abs=1e-12)
+        dead = 2 * xs + K < 0
+        assert dead.sum() >= 3 and np.all(got[dead] == 0.0)
+
     def test_anticausal_mirror(self):
         # q is palindromic about its mass center, so psi_- mirrors psi_+
         alpha = 0.5

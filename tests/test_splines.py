@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -128,6 +129,43 @@ class TestCausalFractional:
         ) / math.gamma(3.0)
         assert np.max(np.abs(series - bspline_natural(2, xs))) < 1e-13
 
+    @pytest.mark.parametrize("alpha", [1 / 2, 4 / 3, 5 / 3, 13 / 3])
+    def test_lattice_matches_direct_series(self, alpha):
+        # oracle: the truncated-power series summed directly at 40 digits;
+        # bound: the forward error of summing its m+1 rounded float terms,
+        # (m + 2) eps sum_k |c_k (y-k)^alpha| (recursive summation)
+        from fracbesov.splines import _beta_plus_values
+
+        def direct(y):
+            a, y = mp.mpf(alpha), mp.mpf(float(y))
+            ck, val, mag, k = mp.mpf(1), mp.mpf(0), mp.mpf(0), 0
+            while y - k > 0:
+                t = ck * (y - k) ** a
+                val, mag = val + t, mag + abs(t)
+                ck *= -(a + 1 - k) / (k + 1)
+                k += 1
+            g = mp.gamma(a + 1)
+            return float(val / g), float(mag / g), k
+
+        rng = np.random.default_rng(5)
+        shared = np.arange(-2.0, 60.0, 0.375)  # eight offsets, many translates
+        distinct = rng.uniform(-2.0, 60.0, 40)
+        integers = np.arange(-2.0, 61.0)
+        far = 2000.0 + rng.uniform(0.0, 8.0, 3)
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            oracle = {
+                float(yi): direct(yi)
+                for yi in np.concatenate([shared, distinct, integers, far])
+            }
+        for y in (shared, distinct, integers, far,
+                  np.concatenate([distinct, far, integers])):
+            got = _beta_plus_values(alpha, y)
+            for yi, gi in zip(y, got):
+                val, mag, terms = oracle[float(yi)]
+                assert abs(gi - val) <= (terms + 1) * eps * mag, (yi, gi, val)
+            assert np.all(got[y <= 0.0] == 0.0)
+
     def test_single_term_value(self):
         # on [0,1) only the k=0 term survives: x^alpha / Gamma(alpha+1)
         spec = FractionalSpline(alpha=0.5)
@@ -248,6 +286,24 @@ class TestDerivative:
         h = 1e-5
         fd = (frac_bspline(spec, 0.7 + h) - frac_bspline(spec, 0.7 - h)) / (2 * h)
         assert frac_bspline_derivative(spec, 1, 0.7) == pytest.approx(fd, abs=1e-4)
+
+    def test_negative_lowered_order_is_finite(self):
+        # alpha - gamma = -0.2: batching points must not raise the clipped
+        # terms 0^(-0.2) = inf; the array call equals the scalar calls
+        spec = FractionalSpline(alpha=0.8)
+        xs = np.array([0.5, 2.5])
+        got = frac_bspline_derivative(spec, 1, xs)
+        assert np.all(np.isfinite(got))
+        for x, g in zip(xs, got):
+            assert g == pytest.approx(
+                frac_bspline_derivative(spec, 1, float(x)), rel=1e-13
+            )
+        # on (0, 1) only x^(-0.2) / Gamma(0.8) survives
+        assert got[0] == pytest.approx(0.5**-0.2 / math.gamma(0.8), rel=1e-13)
+        # at an integer the zero base counts as 0: the finite left derivative
+        assert frac_bspline_derivative(spec, 1, 1.0) == pytest.approx(
+            1.0 / math.gamma(0.8), rel=1e-13
+        )
 
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
