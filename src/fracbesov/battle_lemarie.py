@@ -4,19 +4,28 @@ The construction goes through the autocorrelation symbol
 P_n(w) = sum_j B_{2n+1}(n+1+j) e^{ijw}, whose negative reciprocal root pairs
 {-r_j, -1/r_j} define the orthonormalization factor A_n(w) =
 prod_j (1 + e^{iw} r_j) with beta_n^2 P_n(w) = |A_n(w)|^2.  The localized
-scaling function is beta_n B_n(. - k); the localized wavelet is a finite
-cosine-weighted combination of translates of the (n+1)-st derivative of
-B_{2n+1}.
+scaling function is beta_n B_n(. - k).  The localized wavelet is a finite
+cosine-weighted combination of translates of D = B_{2n+1}^(n+1) =
+Delta^(n+1) B_n, so it is itself a spline of order n on the integers of
+u = 2(x - s) + n: one splines.bspline_filtered pass with a 3n+2 tap filter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .splines import bspline_derivative, bspline_integer_samples, bspline_natural
+# bspline_derivative is re-exported with the layer's other spline
+# evaluators; fracbench's tracer wraps battle_lemarie.bspline_derivative
+from .splines import (  # noqa: F401
+    bspline_derivative,
+    bspline_filtered,
+    bspline_integer_samples,
+    bspline_natural,
+)
 
 
 class RootFindingError(RuntimeError):
@@ -122,7 +131,9 @@ def lambda_coeffs(roots) -> list[float]:
     return lam
 
 
+@lru_cache(maxsize=64)
 def bl_system(n: int, shift_k: int = 0, shift_s: int = 0) -> BLSystem:
+    """The frozen Battle-Lemarie data of order n, built once per argument set."""
     roots = euler_frobenius_roots(n)
     beta_n = float(np.prod([1.0 + r for r in roots]))
     lam = lambda_coeffs(roots)
@@ -167,25 +178,41 @@ def wavelet_gamma(sys: BLSystem) -> float:
     )
 
 
-def wavelet_localized(sys: BLSystem, x, sign: float = 1.0):
-    """Psi_{n,k,s} built from (n+1)-st derivatives of B_{2n+1}.
+def _wavelet_taps(sys: BLSystem, sign: float) -> np.ndarray:
+    """Coefficients d_k, k = -n..2n+1, with Psi = gamma/2^n sum_k d_k B_n(u - k).
 
-    Psi(x) = gamma/2^n * sum_j lambda_j/(2 (-1)^j)
-             [D(2(x-s)+n+j) + sign * D(2(x-s)+n-j)],  D = B_{2n+1}^{(n+1)}.
-
-    The derivative is evaluated exactly on the piecewise-polynomial
-    representation.  The formula's support is [s-n, s+n+1].
+    Psi weights D(u - t), t = -n..n, by e_t: lambda_j / (2 (-1)^j) at
+    t = -j and sign times that at t = j.  D = B_{2n+1}^(n+1) =
+    sum_{i=0}^{n+1} (-1)^i binom(n+1, i) B_n(. - i), so d is e convolved
+    with that signed binomial row.
     """
     n = sys.n
-    u = 2.0 * (np.asarray(x, dtype=float) - sys.shift_s) + n
-    acc = np.zeros_like(u)
+    e = np.zeros(2 * n + 1)  # e[t + n]
     for j in range(n + 1):
         w = sys.lam[j] / (2.0 * (-1.0) ** j)
-        acc += w * (
-            bspline_derivative(2 * n + 1, n + 1, u + j)
-            + sign * bspline_derivative(2 * n + 1, n + 1, u - j)
-        )
-    return wavelet_gamma(sys) / 2.0**n * acc
+        e[n - j] += w
+        e[n + j] += sign * w
+    row = [(-1.0) ** i * math.comb(n + 1, i) for i in range(n + 2)]
+    return np.convolve(e, row)
+
+
+def wavelet_localized(sys: BLSystem, x, sign: float = 1.0):
+    """Psi_{n,k,s}, the localized Battle-Lemarie wavelet.
+
+    Psi(x) = gamma/2^n * sum_j lambda_j/(2 (-1)^j)
+             [D(u+j) + sign * D(u-j)],  D = B_{2n+1}^{(n+1)},  u = 2(x-s)+n.
+
+    Every translate of D is a difference of B_n, so Psi is the order-n
+    spline gamma/2^n sum_k d_k B_n(u - k) with the 3n+2 taps of
+    _wavelet_taps on k = -n..2n+1, evaluated exactly in one bspline_filtered
+    pass.  The formula's support is [s-n, s+n+1].
+    """
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    u = 2.0 * (np.asarray(x, dtype=float) - sys.shift_s) + sys.n
+    out = wavelet_gamma(sys) / 2.0**sys.n * bspline_filtered(
+        sys.n, u, _wavelet_taps(sys, sign), -sys.n
+    )
+    return float(out) if scalar else out
 
 
 def wavelet_support(sys: BLSystem) -> tuple[float, float]:

@@ -7,7 +7,8 @@ The causal spline of order alpha > 0 is the locally finite series
 the anticausal one is its reflection, and the symmetric one is the bilateral
 series over the kernel |x|_*^alpha with coefficients
 (-1)^k binom(alpha+1, k+(alpha+1)/2).  Natural orders are always routed to
-the exact B_n recursion, never to the fractional series.
+bspline_filtered, the exact piecewise-polynomial B_n on the integer lattice,
+never to the fractional series.
 """
 
 from __future__ import annotations
@@ -64,50 +65,79 @@ def _is_even_int(a: float) -> bool:
 # natural B-splines
 # ---------------------------------------------------------------------------
 
-def bspline_natural(n: int, x):
-    """B_n evaluated by the two-term recursion; B_0 = indicator of [0, 1)."""
+def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray:
+    """sum_i c[i] B_n(u - k0 - i) at every point of u.
+
+    This is the natural-order spline with coefficients c on the integers
+    k0, k0 + 1, ...  Each point splits exactly into u = m + f, m = floor(u),
+    and B_n is nonzero at f + p only for p = 0..n (B_0 is the indicator of
+    [0, 1)), so
+
+        out = sum_{p=0}^{n} c[m - k0 - p] B_n(f + p),
+
+    taps outside c counting as 0.  The n + 1 pieces B_n(f + p) come from
+    the Cox-de Boor recursion on the offsets, n passes over an
+    (n + 1, points) array whatever the length of c.  Non-finite u give NaN.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    # triangle over shifted base evaluations: b[j] holds B_m(x - j)
-    b = [((x - j >= 0.0) & (x - j < 1.0)).astype(float) for j in range(n + 1)]
-    for m in range(1, n + 1):
-        for j in range(n - m + 1):
-            y = x - j
-            b[j] = (y / m) * b[j] + ((m + 1 - y) / m) * b[j + 1]
-    out = b[0]
+    u = np.asarray(u, dtype=float)
+    c = np.asarray(c, dtype=float)
+    flat = u.ravel()
+    m = np.floor(flat)
+    f = flat - m
+    fp = f + np.arange(n + 1.0)[:, None]
+    # pieces[p] = B_k(f + p) at level k, nonzero for p <= k
+    pieces = np.zeros_like(fp)
+    pieces[0] = 1.0
+    for k in range(1, n + 1):
+        nxt = fp[: k + 1] * pieces[: k + 1]
+        nxt[1:] += (k + 1.0 - fp[1 : k + 1]) * pieces[:k]
+        pieces[: k + 1] = nxt / k
+    # tap m - k0 - p read from c padded by n + 1 zeros on each side; the
+    # float clip (fmax/fmin map NaN to the edge) keeps every index in range
+    cpad = np.concatenate([np.zeros(n + 1), c, np.zeros(n + 1)])
+    col = np.fmin(np.fmax(m - k0, -1.0), c.size + n).astype(np.intp) + n + 1
+    coef = cpad[col - np.arange(n + 1)[:, None]]
+    return np.einsum("pj,pj->j", coef, pieces).reshape(u.shape)
+
+
+def bspline_natural(n: int, x):
+    """B_n, supported on [0, n+1]; B_0 = indicator of [0, 1).
+
+    The single-coefficient case of bspline_filtered.
+    """
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    out = bspline_filtered(n, x, np.ones(1), 0)
     return float(out) if scalar else out
 
 
 @lru_cache(maxsize=64)
 def bspline_integer_samples(n: int) -> tuple[Fraction, ...]:
-    """Exact rational values (B_n(0), ..., B_n(n+1)) from the recursion."""
+    """Exact rational values (B_n(0), ..., B_n(n+1)) from the recursion.
 
-    def rec(m: int, x: Fraction) -> Fraction:
-        if m == 0:
-            return Fraction(1) if 0 <= x < 1 else Fraction(0)
-        return (x * rec(m - 1, x) + (m + 1 - x) * rec(m - 1, x - 1)) / m
-
-    return tuple(rec(n, Fraction(j)) for j in range(n + 2))
+    B_m(j) = (j B_{m-1}(j) + (m+1-j) B_{m-1}(j-1)) / m, taken level by
+    level on the integers 0..n+1 from B_0(j) = [j = 0].
+    """
+    b = [Fraction(1)] + [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        b = [(j * b[j] + (m + 1 - j) * (b[j - 1] if j else 0)) / m for j in range(n + 2)]
+    return tuple(b)
 
 
 def bspline_derivative(n: int, order: int, x):
     """Exact order-th derivative of B_n via the difference of lower orders.
 
-    B_n^(r)(x) = sum_{i=0}^{r} (-1)^i binom(r, i) B_{n-r}(x - i); requires
-    r <= n - 1 so the result is at least continuous.
+    B_n^(r)(x) = sum_{i=0}^{r} (-1)^i binom(r, i) B_{n-r}(x - i), one
+    bspline_filtered pass with the signed binomial row; requires r <= n - 1
+    so the result is at least continuous.
     """
     if order < 0 or order > n - 1:
         raise ValueError(f"derivative order {order} not in [0, {n - 1}] for B_{n}")
-    if order == 0:
-        return bspline_natural(n, x)
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    acc = np.zeros_like(x)
-    for i in range(order + 1):
-        acc += (-1) ** i * math.comb(order, i) * bspline_natural(n - order, x - i)
-    return float(acc) if scalar else acc
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    row = [(-1.0) ** i * math.comb(order, i) for i in range(order + 1)]
+    out = bspline_filtered(n - order, x, row, 0)
+    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------

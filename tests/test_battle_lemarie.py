@@ -84,6 +84,9 @@ class TestLambda:
             expansion *= sys.root_product
             assert np.max(np.abs(direct - expansion)) <= 1e-10
 
+    def test_system_is_built_once(self):
+        assert bl_system(3, 0, 1) is bl_system(3, 0, 1)
+
     def test_positivity_constants(self):
         for n in range(1, 7):
             sys = bl_system(n)

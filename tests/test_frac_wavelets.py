@@ -271,6 +271,74 @@ class TestMoleculeCheck:
         r3 = molecule_check(m_q(3), (nu, 3), params).max_envelope_ratio
         assert r3 == pytest.approx(r0, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_natural_translation_covariance(self, n):
+        # s = 1 takes the central-difference branch of (M3)/(M4)
+        params = molecule_params_for(2.0, 2.0, 1.0, 1.0, float(n))
+        nat = natural_system(n)
+        reps = []
+        for nu, tau in ((1, 0), (2, -5)):
+
+            def m_q(x, nu=nu, tau=tau):
+                return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
+
+            reps.append(molecule_check(m_q, (nu, tau), params).conditions)
+        assert set(reps[0]) == set(reps[1]) >= {"M2", "M3", "M4"}
+        for cond in ("M2", "M3", "M4"):
+            assert reps[1][cond]["ratio"] == pytest.approx(reps[0][cond]["ratio"], rel=1e-9)
+
+    @staticmethod
+    def _m4_ratio_on_z(fn, grid, x_q, nu, params, zs):
+        """(M4) ratio with the sup over z taken on the given z values."""
+        scale, delta, M = 2.0**nu, params.delta, params.M
+        ratio = 0.0
+        for st in (1, 4, 16, 64):
+            xs, ys = grid[st:], grid[:-st]
+            diff = np.abs(fn(xs) - fn(ys))
+            h = np.abs(xs - ys)
+            for i in range(0, xs.size, 64):
+                sl = slice(i, i + 64)
+                dist = np.abs(xs[sl, None] - np.outer(h[sl], zs) - x_q)
+                sup_env = np.max((1.0 + scale * dist) ** (-M), axis=1)
+                bound = 2.0 ** (nu / 2.0 + nu * delta) * h[sl] ** delta * sup_env
+                ratio = max(ratio, float(np.max(diff[sl] / bound)))
+        return ratio
+
+    @pytest.mark.parametrize("kind", ["step", "natural"])
+    def test_m4_exact_sup(self, kind):
+        # s = 0: (M4) compares values (gamma = 0) with the sup of the envelope
+        # over the segment [x - h, x + h]; x_q = 0 falls strictly between
+        # grid points, at 0.3 of a grid step, off the 65-point z grid
+        params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
+        nu, x_q = 1, 0.0
+        grid = (np.arange(-120, 120) + 0.3) / (16.0 * 2.0**nu)
+        if kind == "step":
+            # only pairs straddling x_q differ, where the exact sup is 1
+            def fn(x):
+                return (np.asarray(x) > x_q).astype(float)
+        else:
+            nat = natural_system(2)
+
+            def fn(x):
+                return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x)
+
+        ratio = molecule_check(fn, (nu, 0), params, grid=grid).conditions["M4"]["ratio"]
+        dz = 2.0 / 12000
+        brute = self._m4_ratio_on_z(fn, grid, x_q, nu, params, np.linspace(-1.0, 1.0, 12001))
+        old = self._m4_ratio_on_z(fn, grid, x_q, nu, params, np.linspace(-1.0, 1.0, 65))
+        # a z grid finds the nearest distance to within h dz / 2, so its
+        # envelope sup is low by at most the factor (1 + scale h dz / 2)^M
+        hmax = 64 * (grid[1] - grid[0])
+        assert ratio <= brute * (1.0 + 1e-12)
+        assert brute <= ratio * (1.0 + 2.0**nu * hmax * dz / 2.0) ** params.M
+        assert ratio <= old * (1.0 + 1e-12)
+        if kind == "step":
+            # the stride-1 straddling pair: h = one grid step, sup = 1
+            h1 = grid[1] - grid[0]
+            exact = 1.0 / (2.0 ** (nu / 2.0 + nu * params.delta) * h1**params.delta)
+            assert ratio == pytest.approx(exact, rel=1e-12)
+            assert old > ratio * (1.0 + 1e-3)
+
 
 class TestWaveletSystem:
     def test_natural_normalization(self):
