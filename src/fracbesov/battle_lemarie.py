@@ -178,22 +178,30 @@ def wavelet_gamma(sys: BLSystem) -> float:
     )
 
 
+def translate_weights(sys: BLSystem, sign: float) -> np.ndarray:
+    """Weights w[n + j] of Psi = sum_{|j| <= n} w[n + j] f(. + j).
+
+    lambda_j / (2 (-1)^j) on f(. + j) and sign times that on f(. - j); f is
+    D = B_{2n+1}^(n+1) here and psi(. + n) in frac_wavelets.Psi_combined.
+    """
+    n = sys.n
+    w = np.zeros(2 * n + 1)
+    for j in range(n + 1):
+        lam = sys.lam[j] / (2.0 * (-1.0) ** j)
+        w[n + j] += lam
+        w[n - j] += sign * lam
+    return w
+
+
 def _wavelet_taps(sys: BLSystem, sign: float) -> np.ndarray:
     """Coefficients d_k, k = -n..2n+1, with Psi = gamma/2^n sum_k d_k B_n(u - k).
 
-    Psi weights D(u - t), t = -n..n, by e_t: lambda_j / (2 (-1)^j) at
-    t = -j and sign times that at t = j.  D = B_{2n+1}^(n+1) =
-    sum_{i=0}^{n+1} (-1)^i binom(n+1, i) B_n(. - i), so d is e convolved
-    with that signed binomial row.
+    D = B_{2n+1}^(n+1) = sum_{i=0}^{n+1} (-1)^i binom(n+1, i) B_n(. - i),
+    so d is translate_weights reversed (the weights of D(u - t), t = -n..n)
+    convolved with that signed binomial row.
     """
-    n = sys.n
-    e = np.zeros(2 * n + 1)  # e[t + n]
-    for j in range(n + 1):
-        w = sys.lam[j] / (2.0 * (-1.0) ** j)
-        e[n - j] += w
-        e[n + j] += sign * w
-    row = [(-1.0) ** i * math.comb(n + 1, i) for i in range(n + 2)]
-    return np.convolve(e, row)
+    row = [(-1.0) ** i * math.comb(sys.n + 1, i) for i in range(sys.n + 2)]
+    return np.convolve(translate_weights(sys, sign)[::-1], row)
 
 
 def wavelet_localized(sys: BLSystem, x, sign: float = 1.0):

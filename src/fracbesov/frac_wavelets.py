@@ -7,8 +7,10 @@ with the two-scale filter
 
 whose integer symmetric-spline samples come from the Poisson-summation
 evaluator.  The combination Psi adds cosine weights lambda_j(n) from the
-natural-order construction.  Molecule checking certifies the decay /
-moment / Hoelder conditions on a grid.
+natural-order construction (battle_lemarie.translate_weights), folded into
+the filter, so psi and Psi are each one splines.beta_plus_filtered pass.
+Molecule checking certifies the decay / moment / Hoelder conditions on a
+grid, evaluating each derivative of the molecule once per grid.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .battle_lemarie import bl_system, scaling_localized, wavelet_localized
+from .battle_lemarie import bl_system, scaling_localized, translate_weights
+from .battle_lemarie import wavelet_localized
 from .quadrature import graded_breaks, panel_rule
 from .specfun import gbinom_row
 from .splines import (
@@ -60,25 +63,14 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     return q
 
 
-def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1e-6):
-    """psi_+^alpha or psi_-^alpha at x; series truncated at |k| <= trunc.
+def _psi_translates(alpha, variant, x, up, trunc, tail_tol):
+    """sum_t up[2t] psi(x + t), up the translate weights up-sampled by 2.
 
-    With u = 2x (causal) or u = -2x (anticausal),
-
-        psi_+(x) = sum_k q_k beta_+(u - k),   psi_-(x) = sum_k q_{-k} beta_+(u - k):
-
-    the causal spline with coefficients q (reversed for psi_-) on
-    -trunc..trunc, evaluated at u by splines.beta_plus_filtered.  Every
-    argument u - k shares the offset f = u - floor(u), so the distinct
-    offsets of the input points are tabulated once on the lattice f + m,
-    m = 0..max(floor(u)) + trunc, with at most 4M elements per block, and
-    the table is convolved with the filter; the argument matrix 2x - k is
-    never formed.  Points with floor(u) + trunc < 0 are exactly 0.
-
-    The one-sided spline terminates the sum on one side exactly; on the
-    other side the omitted terms are bounded by the filter edge value times
-    the lattice tail of the spline envelope.  A TruncationError means the
-    requested points sit too deep in the tail for this ``trunc``.
+    psi_+(x + t) = sum_k q_k beta_+(2x - k + 2t) and psi_-(x + t) =
+    sum_k q_{-k} beta_+(-2x - k - 2t), so the sum is one beta_plus_filtered
+    pass on the input's own points with the taps q * up[::-1] from
+    k0 = -trunc - (len(up) - 1) (causal) or q[::-1] * up from -trunc.  The
+    tail estimate covers the translated points [min x, max x + 2 t_max].
     """
     if alpha <= 0 or _is_nat(alpha):
         raise ValueError("psi_frac requires non-integer alpha > 0")
@@ -87,15 +79,18 @@ def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     q = wavelet_filter(alpha, trunc)
+    lo, hi = float(xs.min()), float(xs.max()) + (up.size - 1) / 2.0
     # causal support kills k > 2x; anticausal kills k < 2x
     if variant == "causal":
-        margin = 2.0 * float(xs.min()) + trunc
+        margin = 2.0 * lo + trunc
         live_edge = abs(q[0])
-        natural_cut = trunc >= 2.0 * float(xs.max())
+        natural_cut = trunc >= 2.0 * hi
+        u, taps, k0 = 2.0 * xs, np.convolve(q, up[::-1]), -trunc - (up.size - 1)
     else:
-        margin = trunc - 2.0 * float(xs.max())
+        margin = trunc - 2.0 * hi
         live_edge = abs(q[-1])
-        natural_cut = -trunc <= 2.0 * float(xs.min())
+        natural_cut = -trunc <= 2.0 * lo
+        u, taps, k0 = -2.0 * xs, np.convolve(q[::-1], up), -trunc
     est = live_edge * (min(1.0, margin ** -(alpha + 1.0)) if margin > 1.0 else trunc)
     if not natural_cut:
         est += trunc * max(abs(q[0]), abs(q[-1]))
@@ -104,11 +99,28 @@ def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1
             f"psi tail estimate {est:.2e} exceeds {tail_tol:.0e} at trunc={trunc}; "
             "increase trunc or shrink the evaluation window"
         )
-    if variant == "causal":
-        out = beta_plus_filtered(alpha, 2.0 * xs, q, -trunc)
-    else:
-        out = beta_plus_filtered(alpha, -2.0 * xs, q[::-1], -trunc)
+    out = beta_plus_filtered(alpha, u, taps, k0)
     return float(out[0]) if scalar else out
+
+
+def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1e-6):
+    """psi_+^alpha or psi_-^alpha at x; series truncated at |k| <= trunc.
+
+    With u = 2x (causal) or u = -2x (anticausal),
+
+        psi_+(x) = sum_k q_k beta_+(u - k),   psi_-(x) = sum_k q_{-k} beta_+(u - k):
+
+    the causal spline with coefficients q (reversed for psi_-) on
+    -trunc..trunc, evaluated at u in one splines.beta_plus_filtered pass
+    (up = [1] in the body shared with Psi_combined); the argument matrix
+    2x - k is never formed.  Points with floor(u) + trunc < 0 are exactly 0.
+
+    The one-sided spline terminates the sum on one side exactly; on the
+    other side the omitted terms are bounded by the filter edge value times
+    the lattice tail of the spline envelope.  A TruncationError means the
+    requested points sit too deep in the tail for this ``trunc``.
+    """
+    return _psi_translates(alpha, variant, x, np.ones(1), trunc, tail_tol)
 
 
 def Psi_combined(
@@ -120,23 +132,18 @@ def Psi_combined(
     sign: float = 1.0,
     tail_tol: float = 1e-6,
 ):
-    """Psi_±^alpha(x) = sum_j lambda_j(n)/(2 (-1)^j) [psi(x+n+j) + sign psi(x+n-j)]."""
+    """Psi_±^alpha(x) = sum_j lambda_j(n)/(2 (-1)^j) [psi(x+n+j) + sign psi(x+n-j)].
+
+    The weights of psi(x + t), t = 0..2n, are battle_lemarie's
+    translate_weights; up-sampled by 2 they fold into psi's filter, so Psi
+    is one beta_plus_filtered pass on the input's own points.  The
+    TruncationError estimate is psi_frac's over [min x, max x + 2n].
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    lam = bl_system(n).lam
-    shifts, weights = [], []
-    for j in range(n + 1):
-        w = lam[j] / (2.0 * (-1.0) ** j)
-        shifts += [n + j, n - j]
-        weights += [w, w * sign]
-    allx = np.concatenate([xs + s for s in shifts])
-    vals = psi_frac(alpha, variant, allx, trunc=trunc, tail_tol=tail_tol).reshape(
-        len(shifts), xs.size
-    )
-    out = np.einsum("i,ij->j", np.asarray(weights), vals)
-    return float(out[0]) if scalar else out
+    up = np.zeros(4 * n + 1)
+    up[::2] = translate_weights(bl_system(n), sign)
+    return _psi_translates(alpha, variant, x, up, trunc, tail_tol)
 
 
 def beta_moment(alpha: float, variant: str, i: int) -> float:
@@ -260,14 +267,15 @@ def molecule_check(
     params: MoleculeParams,
     grid=None,
     derivs=None,
-    moment_quad=None,
 ) -> MoleculeReport:
     """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
 
     ``fn`` is the candidate molecule m_Q itself (scaling included by the
     caller); ``derivs`` maps gamma -> callable for exact derivatives, with a
-    central-difference fallback.  Report-only: ratios > 1 mean the condition
-    fails at the current normalization.
+    central-difference fallback.  D^gamma m_Q is evaluated once on ``grid``
+    for gamma = 0..[s]; (M2)-(M4) read that table, (M4) at the grid pairs
+    of strides 1, 4, 16, 64.  (M1) takes a graded 12-point panel rule over
+    the grid's range.  Report-only: ratios > 1 mean the condition fails.
     """
     nu, tau = Q
     x_q = tau / 2.0**nu if nu > 0 else float(tau)
@@ -286,18 +294,15 @@ def molecule_check(
         h = 1e-5 / scale
         return (deriv(gamma - 1, xs + h) - deriv(gamma - 1, xs - h)) / (2.0 * h)
 
+    table = [np.asarray(deriv(g, grid)) for g in range(max(s_floor, 0) + 1)]
     report = MoleculeReport(nu=nu, tau=tau)
 
     # (M1): vanishing moments up to N; void for N < 0 and absent from the
     # starred nu = 0 set
     if N >= 0 and nu >= 1:
         a, b = float(grid.min()), float(grid.max())
-        if moment_quad is None:
-            per_unit = max(2, int(2 * scale))
-            breaks = graded_breaks(a, b, per_unit=per_unit, levels=2)
-            nodes, wts = panel_rule(breaks, 12)
-        else:
-            nodes, wts = moment_quad
+        breaks = graded_breaks(a, b, per_unit=max(2, int(2 * scale)), levels=2)
+        nodes, wts = panel_rule(breaks, 12)
         vals = fn(nodes)
         worst = max(
             abs(float(np.dot(wts, nodes**g * vals))) for g in range(N + 1)
@@ -312,7 +317,7 @@ def molecule_check(
     env2 = (2.0 ** (nu / 2.0)) * (1.0 + scale * dist) ** (-expo) if nu >= 1 else (
         1.0 + dist
     ) ** (-M)
-    v = np.abs(fn(grid))
+    v = np.abs(table[0])
     report.conditions["M2" + star] = {
         "value": float(np.max(v)),
         "bound": None,
@@ -324,9 +329,8 @@ def molecule_check(
         gammas = range(0, s_floor + 1) if nu >= 1 else range(1, s_floor + 1)
         worst3 = 0.0
         for g in gammas:
-            dv = np.abs(deriv(g, grid))
             env3 = 2.0 ** (nu / 2.0 + nu * g) * (1.0 + scale * dist) ** (-M)
-            worst3 = max(worst3, float(np.max(dv / env3)))
+            worst3 = max(worst3, float(np.max(np.abs(table[g]) / env3)))
         if nu >= 1 or s_floor >= 1:
             report.conditions["M3" + star] = {
                 "value": None,
@@ -335,21 +339,15 @@ def molecule_check(
             }
 
         g = s_floor
-        strides = [1, 4, 16, 64]
-        xs_list, ys_list = [], []
-        for st in strides:
-            xs_list.append(grid[st:])
-            ys_list.append(grid[:-st])
-        xs = np.concatenate(xs_list)
-        ys = np.concatenate(ys_list)
-        dgx = deriv(g, xs)
-        dgy = deriv(g, ys)
-        diff = np.abs(dgx - dgy)
-        h = np.abs(xs - ys)
+        strides = (1, 4, 16, 64)
+        ix = np.concatenate([np.arange(st, grid.size) for st in strides])
+        iy = np.concatenate([np.arange(grid.size - st) for st in strides])
+        diff = np.abs(table[g][ix] - table[g][iy])
+        h = np.abs(grid[ix] - grid[iy])
         # exact sup over |z| <= 1 of the envelope at x - z h: the envelope
         # decreases with the distance to x_q, which is smallest at the
         # point of [x - h, x + h] nearest to x_q (scale = 1 at nu = 0)
-        sup_env = (1.0 + scale * np.maximum(0.0, np.abs(xs - x_q) - h)) ** (-M)
+        sup_env = (1.0 + scale * np.maximum(0.0, dist[ix] - h)) ** (-M)
         bound = 2.0 ** (nu / 2.0 + nu * g + nu * delta) * h**delta * sup_env
         ok = bound > 0
         report.conditions["M4" + star] = {

@@ -236,26 +236,32 @@ def beta_plus_table(alpha: float, f: np.ndarray, mmax: int) -> np.ndarray:
     return _toeplitz_product(G, coeffs, 0, mmax + 1)
 
 
-def beta_plus_filtered(alpha: float, u, h: np.ndarray, k0: int) -> np.ndarray:
+def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray:
     """sum_i h[i] beta_+^alpha(u - k0 - i) at every point of u.
 
-    This is the causal spline with coefficients h on the integers k0,
-    k0 + 1, ...  Each point splits exactly into u = m + f, m = floor(u), and
-    every argument u - k0 - i shares its offset f.  The distinct offsets of
-    the input are tabulated once by beta_plus_table on m = 0..max(m) - k0,
-    the table rows are convolved with h, and each point reads column m - k0
-    of its offset's row.  Points with m - k0 < 0 are exactly 0.  Offsets
-    are taken in chunks so that the table and its convolution hold at most
-    _BLOCK elements each; no (points x len(h)) argument matrix is formed.
+    The one-sided spline with coefficients h on the integers k0, k0 + 1,
+    ...; every causal and anticausal series (the spline, its derivatives,
+    psi, Psi) is one call.  Natural orders go to bspline_filtered, the
+    exact B_n.  Otherwise each point splits exactly into u = m + f,
+    m = floor(u), and every argument u - k0 - i shares its offset f.  The
+    distinct offsets are tabulated once by beta_plus_table on m = 0..max(m)
+    - k0, the rows are convolved with h, and each point reads column m - k0
+    of its offset's row (exactly 0 where m - k0 < 0).  Offsets are taken in
+    chunks so that the table and its convolution hold at most _BLOCK
+    elements each.  The output has the shape of u.
     """
+    if _is_nat(alpha):
+        return bspline_filtered(int(alpha), u, h, k0)
     u = np.asarray(u, dtype=float)
-    m = np.floor(u)
-    f = u - m
+    h = np.asarray(h, dtype=float)
+    flat = u.ravel()
+    m = np.floor(flat)
+    f = flat - m
     col = m.astype(np.intp) - k0
-    out = np.zeros_like(u)
+    out = np.zeros_like(flat)
     live = np.flatnonzero(col >= 0)
     if live.size == 0:
-        return out
+        return out.reshape(u.shape)
     offsets, row = np.unique(f[live], return_inverse=True)
     col = col[live]
     mmax, n0 = int(col.max()), int(col.min())
@@ -265,23 +271,11 @@ def beta_plus_filtered(alpha: float, u, h: np.ndarray, k0: int) -> np.ndarray:
         C = _toeplitz_product(T, h, n0, mmax + 1)
         sel = (row >= r0) & (row < r0 + rows)
         out[live[sel]] = C[row[sel] - r0, col[sel] - n0]
-    return out
+    return out.reshape(u.shape)
 
 
 def _beta_plus_values(alpha: float, y: np.ndarray) -> np.ndarray:
-    """Causal beta_+^alpha on an array, read from the lattice table.
-
-    beta_+(y) is column floor(y) of the table row of the offset y - floor(y)
-    (beta_plus_filtered with the single coefficient 1), so inputs that share
-    an offset (integer translates, dyadic grids) share one table row.
-
-    At natural orders the series telescopes to the exact recursion value,
-    beta_+^n = B_n, which anchors all golden tests; natural alpha is routed
-    there directly.
-    """
-    if _is_nat(alpha):
-        n = int(alpha)
-        return bspline_natural(n, y)
+    """Causal beta_+^alpha on an array: beta_plus_filtered with h = [1]."""
     return beta_plus_filtered(alpha, y, np.ones(1), 0)
 
 
@@ -294,15 +288,16 @@ def _star_coeffs(alpha: float, K: int) -> np.ndarray:
     return c / math.gamma(alpha + 1.0)
 
 
-def _star_tail_correction(t_prev: float, t_last: float, K: int) -> float:
-    """One-sided tail of sum_{k>K} t(k) from the model t(k) = (a + b ln k)/k^2."""
-    if t_last == 0.0:
-        return 0.0
+def _star_tail_correction(t_prev, t_last, K: int) -> np.ndarray:
+    """One-sided tails of sum_{k>K} t(k) from the model t(k) = (a + b ln k)/k^2.
+
+    Elementwise over the points; a point whose last term t(K) is 0 has none.
+    """
     fK, fK1 = t_prev * (K - 1) ** 2, t_last * K**2
     b = (fK1 - fK) / (math.log(K) - math.log(K - 1))
     a = fK1 - b * math.log(K)
     kc = K + 0.5
-    return (a + b * (math.log(kc) + 1.0)) / kc
+    return np.where(t_last == 0.0, 0.0, (a + b * (math.log(kc) + 1.0)) / kc)
 
 
 def _beta_star_values(
@@ -328,15 +323,13 @@ def _beta_star_values(
     # correct both slowly decaying one-signed tails
     corr = np.zeros_like(y)
     worst = 0.0
-    for idx_last, idx_prev, kk in ((2 * K, 2 * K - 1, K), (0, 1, K)):
-        sgn = 1.0 if idx_last == 2 * K else -1.0
-        t_last = c[idx_last] * truncated_power(y - sgn * kk, alpha, "star")
-        t_prev = c[idx_prev] * truncated_power(y - sgn * (kk - 1), alpha, "star")
-        for i in range(y.size):
-            ci = _star_tail_correction(float(t_prev[i]), float(t_last[i]), kk)
-            corr[i] += ci
-            # measured to overestimate the post-correction residual ~10x
-            worst = max(worst, abs(ci) / kk)
+    for idx_last, idx_prev, sgn in ((2 * K, 2 * K - 1, 1.0), (0, 1, -1.0)):
+        t_last = c[idx_last] * truncated_power(y - sgn * K, alpha, "star")
+        t_prev = c[idx_prev] * truncated_power(y - sgn * (K - 1), alpha, "star")
+        ci = _star_tail_correction(t_prev, t_last, K)
+        corr += ci
+        # measured to overestimate the post-correction residual ~10x
+        worst = max(worst, float(np.max(np.abs(ci) / K, initial=0.0)))
     if tail_tol is not None and worst > tail_tol:
         raise TruncationError(
             f"beta_* tail estimate {worst:.2e} exceeds tail_tol {tail_tol:.2e} "
@@ -382,15 +375,16 @@ def frac_bspline(spec: FractionalSpline, x):
     elif spec.variant == "anticausal":
         out = _beta_plus_values(spec.alpha, -y)
     else:
-        out = _beta_star_values(spec.alpha, y, spec.trunc_terms, spec.tail_tol)
-    return float(out[0]) if scalar else out
+        out = _beta_star_values(spec.alpha, y.ravel(), spec.trunc_terms, spec.tail_tol)
+    return float(out[0]) if scalar else out.reshape(y.shape)
 
 
 def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
     """D^gamma beta^alpha = sum_j (-1)^j binom(gamma, j) beta^(alpha-gamma)(. - j).
 
-    Valid down to alpha - gamma > -1/2; anticausal derivatives pick up the
-    reflection sign (-1)^gamma.
+    One beta_plus_filtered pass of the lowered order with the signed
+    binomial row as its taps.  Valid down to alpha - gamma > -1/2;
+    anticausal derivatives pick up the reflection sign (-1)^gamma.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -404,11 +398,8 @@ def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
     y = np.atleast_1d(np.asarray(x, dtype=float)) - spec.shift_k
     if spec.variant == "anticausal":
         y = -y
-    # the translates y - j share their offsets: one lattice evaluation
-    js = np.arange(gamma + 1)
-    weights = np.array([(-1.0) ** j * math.comb(gamma, j) for j in js])
-    vals = _beta_plus_values(spec.alpha - gamma, (y[None, :] - js[:, None]).ravel())
-    acc = weights @ vals.reshape(js.size, y.size)
+    row = [(-1.0) ** j * math.comb(gamma, j) for j in range(gamma + 1)]
+    acc = beta_plus_filtered(spec.alpha - gamma, y, row, 0)
     if spec.variant == "anticausal" and gamma % 2:
         acc = -acc
     return float(acc[0]) if scalar else acc

@@ -22,7 +22,9 @@ from fracbesov.splines import (
     FractionalSpline,
     TruncationError,
     beta_star_integer_samples,
+    bspline_natural,
     frac_bspline,
+    frac_bspline_derivative,
 )
 from fracbesov.specfun import gbinom_row
 
@@ -179,6 +181,49 @@ class TestPsiCombined:
             expect, rel=1e-12
         )
 
+    @pytest.mark.parametrize("variant", ["causal", "anticausal"])
+    @pytest.mark.parametrize("alpha", [0.5, 13 / 3])
+    def test_translate_sum(self, alpha, variant):
+        # Psi against its defining sum of psi translates.  The points lie on
+        # a 2^-20 grid so that every translate x + t is exact and both sides
+        # read the spline at the same offsets: at alpha = 13/3 the far tail
+        # of beta_+ carries cancellation noise of ~1e-10 that moves with
+        # the last bit of the offset (ROADMAP item 4).  With tail_tol a
+        # quarter of trunc times the live filter edge, the estimate trips
+        # exactly where the margin is <= 1 or the natural cut fails, so at
+        # x = 19 psi(x) passes while the translate psi(x + 2n) does not.
+        K = 40
+        q = wavelet_filter(alpha, K)
+        tol = K * abs(q[0] if variant == "causal" else q[-1]) / 4.0
+        rng = np.random.default_rng(5)
+        xs = np.concatenate(
+            [np.arange(-6.0, 12.0, 0.25), rng.uniform(-19.0, 13.25, 40),
+             [-19.0, -18.3, 13.1, 13.25]]
+        )
+        xs = np.round(xs * 2.0**20) / 2.0**20
+
+        def psi(x):
+            return psi_frac(alpha, variant, x, trunc=K, tail_tol=tol)
+
+        def by_sum(x, n, sign):
+            lam = bl_system(n).lam
+            return sum(
+                lam[j] / (2.0 * (-1.0) ** j) * (psi(x + n + j) + sign * psi(x + n - j))
+                for j in range(n + 1)
+            )
+
+        edge = 19.0
+        psi(edge)  # passes: only the translates of the edge trip the estimate
+        for n in (1, 2, 3):
+            for sign in (1.0, -1.0):
+                expect = by_sum(xs, n, sign)
+                got = Psi_combined(alpha, n, variant, xs, trunc=K, sign=sign, tail_tol=tol)
+                assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+                with pytest.raises(TruncationError):
+                    by_sum(edge, n, sign)
+                with pytest.raises(TruncationError):
+                    Psi_combined(alpha, n, variant, edge, trunc=K, sign=sign, tail_tol=tol)
+
     def test_moment_zero_by_linearity(self):
         # the combination is a fixed linear combination of translates, so
         # the vanishing moments 0..[alpha] of psi carry over
@@ -287,6 +332,24 @@ class TestMoleculeCheck:
         for cond in ("M2", "M3", "M4"):
             assert reps[1][cond]["ratio"] == pytest.approx(reps[0][cond]["ratio"], rel=1e-9)
 
+    def test_single_evaluation(self):
+        # fn sees the grid once for the values and once per side of the
+        # central difference at s = 1; N = -1 here, so there is no (M1)
+        params = molecule_params_for(2.0, 2.0, 1.0, 1.0, 3.0)
+        assert params.N == -1
+        nat = natural_system(3)
+        nu, tau = 1, 2
+        grid = tau / 2.0 + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / 2.0
+        seen = []
+
+        def fn(x):
+            seen.append(np.size(x))
+            return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
+
+        rep = molecule_check(fn, (nu, tau), params, grid=grid)
+        assert {"M2", "M3", "M4"} <= set(rep.conditions)
+        assert sum(seen) == 3 * grid.size
+
     @staticmethod
     def _m4_ratio_on_z(fn, grid, x_q, nu, params, zs):
         """(M4) ratio with the sup over z taken on the given z values."""
@@ -338,6 +401,33 @@ class TestMoleculeCheck:
             exact = 1.0 / (2.0 ** (nu / 2.0 + nu * params.delta) * h1**params.delta)
             assert ratio == pytest.approx(exact, rel=1e-12)
             assert old > ratio * (1.0 + 1e-3)
+
+
+class TestShapes:
+    def test_two_dimensional_input(self):
+        # every evaluator returns the input's shape, equal to the flat call
+        x = np.array([[0.3, 1.7], [-0.4, 2.25]])
+        fns = [
+            lambda x: frac_bspline(FractionalSpline(alpha=5 / 3), x),
+            lambda x: frac_bspline(FractionalSpline(alpha=5 / 3, variant="anticausal"), x),
+            lambda x: frac_bspline(
+                FractionalSpline(alpha=1.5, variant="symmetric", trunc_terms=400, tail_tol=1.0), x
+            ),
+            lambda x: frac_bspline_derivative(FractionalSpline(alpha=5 / 3), 1, x),
+            lambda x: frac_bspline_derivative(
+                FractionalSpline(alpha=13 / 3, variant="anticausal"), 2, x
+            ),
+            lambda x: psi_frac(0.5, "causal", x),
+            lambda x: psi_frac(5 / 3, "anticausal", x),
+            lambda x: Psi_combined(5 / 3, 2, "causal", x),
+            lambda x: Psi_combined(0.5, 1, "anticausal", x, sign=-1.0),
+            lambda x: bspline_natural(3, x),
+            natural_system(2).wavelet_fn,
+        ]
+        for fn in fns:
+            got = fn(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, fn(x.ravel()).reshape(x.shape))
 
 
 class TestWaveletSystem:
