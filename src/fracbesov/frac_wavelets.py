@@ -32,7 +32,6 @@ from .splines import (
     beta_plus_filtered,
     beta_star_integer_samples,
     frac_bspline,
-    frac_bspline_derivative,
 )
 
 
@@ -47,7 +46,10 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     The symmetric samples are taken at l + k - 1, Unser-Blu's index.  At
     alpha = 1 this gives Chui-Wang's filter (1/12) [1, -6, 10, -6, 1] on
     k = -2..2 rather than on their k = 0..4: the same wavelet space, with
-    psi moved by one integer.
+    psi moved by one integer.  The l-sum stops at l = kmax + 48: taking it
+    to kmax + 1000 moves q by at most 4.9e-15 max|q| (measured at alpha =
+    1/2, kmax = 60; below 2e-16 for alpha >= 4/3), since binom(alpha+1, l)
+    and the samples both decay algebraically.
     """
     ltrunc = kmax + 48
     sam = beta_star_integer_samples(2.0 * alpha + 1.0, kmax + ltrunc + 2)
@@ -403,14 +405,6 @@ class WaveletSystem:
             trunc=self.trunc,
             sign=self.psi_sign,
         )
-
-    def scale_deriv_fn(self, gamma: int):
-        if self.kind != "fractional":
-            raise ValueError("exact lowered-order derivatives are fractional-only")
-        spec = FractionalSpline(
-            alpha=self.order, variant=self.variant, shift_k=self.shift_k
-        )
-        return lambda x: frac_bspline_derivative(spec, gamma, x)
 
     def scale_window(self, pad: float = 40.0) -> tuple[float, float]:
         """Interval holding the scaling function's mass.

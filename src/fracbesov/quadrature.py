@@ -15,10 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 
-class QuadratureError(RuntimeError):
-    """Raised when two quadrature rules of different order disagree."""
-
-
 @lru_cache(maxsize=32)
 def _gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(npts)
@@ -76,46 +72,3 @@ def graded_breaks(
     keep = np.concatenate([[True], np.diff(out) > min_width])
     return out[keep]
 
-
-def integrate(
-    fvals_fn,
-    a: float,
-    b: float,
-    knots: tuple[float, ...] = (),
-    npts: int = 16,
-    per_unit: int = 2,
-    levels: int = 6,
-) -> float:
-    """Integrate a vectorized callable over [a, b] with graded panels."""
-    breaks = graded_breaks(a, b, knots, per_unit=per_unit, levels=levels)
-    nodes, weights = panel_rule(breaks, npts)
-    return float(np.dot(weights, fvals_fn(nodes)))
-
-
-def integrate_checked(
-    fvals_fn,
-    a: float,
-    b: float,
-    tol: float,
-    knots: tuple[float, ...] = (),
-    npts: int = 16,
-    per_unit: int = 2,
-    levels: int = 8,
-) -> tuple[float, float]:
-    """Integrate with an error estimate from an order-escalated companion rule.
-
-    Returns (value, estimate).  Raises QuadratureError if even the escalated
-    pair cannot agree to ``tol``.
-    """
-    escalations = ((npts, npts + 8), (npts + 16, npts + 24), (npts + 32, npts + 48))
-    lev = levels
-    for lo, hi in escalations:
-        v_lo = integrate(fvals_fn, a, b, knots, npts=lo, per_unit=per_unit, levels=lev)
-        v_hi = integrate(fvals_fn, a, b, knots, npts=hi, per_unit=per_unit, levels=lev)
-        err = abs(v_hi - v_lo)
-        if err <= tol:
-            return v_hi, err
-        lev += 6
-    raise QuadratureError(
-        f"quadrature did not reach tol={tol:g} on [{a}, {b}] (last error {err:g})"
-    )

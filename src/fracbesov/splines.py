@@ -8,7 +8,10 @@ the anticausal one is its reflection, and the symmetric one is the bilateral
 series over the kernel |x|_*^alpha with coefficients
 (-1)^k binom(alpha+1, k+(alpha+1)/2).  Natural orders are always routed to
 bspline_filtered, the exact piecewise-polynomial B_n on the integer lattice,
-never to the fractional series.
+never to the fractional series.  The symmetric spline's integer samples,
+which the wavelet filters use, come by Poisson summation instead: the
+lattice sum in their Fourier transform is a pair of Hurwitz zeta values in
+closed form, and one inverse FFT leaves only aliasing error O(N^(-alpha-2)).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gbinom_real, gbinom_row
+from .specfun import gbinom_real, gbinom_row, hurwitz_zeta
 
 VARIANTS = ("causal", "anticausal", "symmetric")
 
@@ -49,8 +52,9 @@ class FractionalSpline:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.trunc_terms < 1:
-            raise ValueError("trunc_terms must be >= 1")
+        if self.trunc_terms < 2:
+            # the symmetric series' tail model fits its last two terms
+            raise ValueError(f"trunc_terms must be >= 2, got {self.trunc_terms}")
 
 
 def _is_nat(a: float) -> bool:
@@ -343,24 +347,25 @@ def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     """beta_*^alpha at the integers -mmax..mmax via Poisson summation.
 
     The sample sequence has discrete-time Fourier transform
-    |2 sin(w/2)|^(alpha+1) * sum_j |w + 2 pi j|^(-alpha-1), a smooth periodic
-    function; an inverse FFT of its samples recovers the integer values with
+    F(w) = |2 sin(w/2)|^s sum_j |w + 2 pi j|^(-s), s = alpha + 1, a smooth
+    periodic function.  With t = w / (2 pi) in (0, 1) the lattice sum is
+    (2 pi)^(-s) [zeta(s, t) + zeta(s, 1 - t)] in closed form (Hurwitz zeta,
+    DLMF 25.11), so F = (|sin(pi t)| / pi)^s [zeta(s, t) + zeta(s, 1 - t)]
+    and F(0) = 1.  On the grid t = k/N, N a power of two, 1 - t is exactly
+    the mirrored grid point, so one zeta evaluation serves both terms.  An
+    inverse FFT of the N samples of F recovers the integer values with
     aliasing error O(N^(-alpha-2)).  This is far more accurate in the tail
     than truncating the bilateral series, and is what the wavelet filters use.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    s = alpha + 1.0
     N = max(4096, 1 << int(2 * mmax + 2).bit_length())
-    om = 2.0 * np.pi * np.arange(1, N) / N
-    J = 600
-    s = np.zeros(N - 1)
-    for j in range(-J, J + 1):
-        s += np.abs(om + 2.0 * np.pi * j) ** (-(alpha + 1.0))
-    # Euler-Maclaurin tail of the lattice sum over |j| > J
-    s += 2.0 * (2.0 * np.pi) ** (-(alpha + 1.0)) * (J + 0.5) ** (-alpha) / alpha
+    t = np.arange(1, N) / N
+    z = hurwitz_zeta(s, t)
     F = np.empty(N)
     F[0] = 1.0
-    F[1:] = (2.0 * np.abs(np.sin(om / 2.0))) ** (alpha + 1.0) * s
+    F[1:] = (np.sin(np.pi * t) / np.pi) ** s * (z + z[::-1])
     coeffs = np.fft.ifft(F).real
     idx = np.arange(-mmax, mmax + 1) % N
     return coeffs[idx]

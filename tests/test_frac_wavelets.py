@@ -49,6 +49,22 @@ class TestFilter:
         # |q_k| ~ k^(-2 alpha - 3) on the causal side
         assert right[-1] < right[0] * (50.0 / 200.0) ** 3.5
 
+    @pytest.mark.parametrize("alpha", [0.5, 4 / 3, 5 / 3, 13 / 3])
+    @pytest.mark.parametrize("kmax", [60, 80])
+    def test_tail_cutoff(self, alpha, kmax):
+        # the l-sum stops at kmax + 48; taking it to kmax + 1000 moves q by
+        # at most 4.9e-15 max|q| (alpha = 1/2, kmax = 60)
+        ltrunc = kmax + 1000
+        mid = kmax + ltrunc + 2
+        sam = beta_star_integer_samples(2.0 * alpha + 1.0, mid)
+        ks = np.arange(-kmax, kmax + 1)
+        ref = sam[mid + ks[:, None] - 1 + np.arange(ltrunc + 1)] @ gbinom_row(
+            alpha + 1.0, ltrunc
+        )
+        ref *= 2.0**-alpha * (-1.0) ** ks
+        q = wavelet_filter(alpha, kmax)
+        assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_semiorthogonality(self):
         # <psi, beta(. - m)> = 0: the wavelet space is orthogonal to V_0
         alpha = 0.5

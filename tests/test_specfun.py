@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +14,7 @@ from fracbesov.specfun import (
     gbinom,
     gbinom_real,
     gbinom_row,
+    hurwitz_zeta,
 )
 
 
@@ -34,6 +36,40 @@ class TestGamma:
         for x in np.linspace(0.1, 50, 97):
             ref = math.exp(math.lgamma(x))
             assert gamma(x) == pytest.approx(ref, rel=1e-12)
+
+
+class TestHurwitz:
+    # s covers 2 alpha + 2 for alpha up to 13/3; a reaches both ends of (0, 1]
+    S = (1.01, 1.5, 2.0, 3.0, 14 / 3, 32 / 3, 20.0)
+    A = (1e-9, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1.0)
+
+    @staticmethod
+    def _ref(s, a):
+        with mp.workdps(30):
+            return float(mp.zeta(s, a))
+
+    @pytest.mark.parametrize("s", S)
+    def test_scalar_matches_mpmath(self, s):
+        for a in self.A:
+            got = hurwitz_zeta(s, a)
+            assert isinstance(got, float)
+            assert got == pytest.approx(self._ref(s, a), rel=1e-14)
+
+    @pytest.mark.parametrize("s", S)
+    def test_array_matches_mpmath(self, s):
+        a = np.array(self.A).reshape(7, 1) * np.ones(2)
+        got = hurwitz_zeta(s, a)
+        ref = np.array([[self._ref(s, v) for v in row] for row in a])
+        assert got.shape == a.shape
+        assert got == pytest.approx(ref, rel=1e-14)
+
+    def test_domain(self):
+        for s in (1.0, 0.5, -2.0):
+            with pytest.raises(ValueError):
+                hurwitz_zeta(s, 0.5)
+        for a in (0.0, -0.25, np.array([0.5, 0.0]), np.nan):
+            with pytest.raises(ValueError):
+                hurwitz_zeta(2.0, a)
 
 
 class TestBeta:

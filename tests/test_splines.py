@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -258,12 +259,46 @@ class TestSymmetricFractional:
                     frac_bspline(spec, float(m)), abs=5e-8
                 )
 
+    @pytest.mark.parametrize("a2", [2.0, 11 / 3, 29 / 3])
+    def test_poisson_samples_match_fourier_integral(self, a2):
+        # oracle without FFT: beta_*(m) = int_0^1 F(t) cos(2 pi m t) dt, F the
+        # samples' transform at w = 2 pi t built from mpmath's Hurwitz zeta;
+        # F is smooth inside (0, 1)
+        # and behaves like |t|^(a2+1) at the ends, where Gauss-Legendre on
+        # the four panels agrees with tanh-sinh to far below the tolerance
+        s = mp.mpf(a2) + 1
+        ms = (0, 1, 2, 5, 20)
+        with mp.workdps(20):
+
+            @functools.lru_cache(maxsize=None)
+            def F(t):
+                z = mp.zeta(s, t) + mp.zeta(s, 1 - t)
+                return (mp.sin(mp.pi * t) / mp.pi) ** s * z
+
+            ref = [
+                float(mp.quad(lambda t: F(t) * mp.cos(2 * mp.pi * m * t),
+                              [0, 0.25, 0.5, 0.75, 1], method="gauss-legendre"))
+                for m in ms
+            ]
+        sam = beta_star_integer_samples(a2, 20)
+        assert sam[20 + np.array(ms)] == pytest.approx(ref, abs=1e-14)
+        assert sam[::-1] == pytest.approx(sam, abs=1e-15)
+        # -2046..2046 holds all but three of the 4096 FFT coefficients
+        assert beta_star_integer_samples(a2, 2046).sum() == pytest.approx(1.0, abs=1e-13)
+
     def test_truncation_error_raised(self):
         spec = FractionalSpline(
             alpha=13 / 3, variant="symmetric", trunc_terms=60, tail_tol=1e-12
         )
         with pytest.raises(TruncationError):
             frac_bspline(spec, 0.5)
+
+    def test_single_term_rejected(self):
+        # the tail model fits the last two terms, so K = 1 has no tail estimate
+        with pytest.raises(ValueError, match="trunc_terms must be >= 2"):
+            FractionalSpline(1.5, "symmetric", trunc_terms=1)
+        with pytest.raises(TruncationError):
+            frac_bspline(FractionalSpline(1.5, "symmetric", trunc_terms=2), 0.3)
 
 
 class TestDerivative:
