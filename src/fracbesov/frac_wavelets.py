@@ -10,13 +10,15 @@ evaluator.  The combination Psi adds cosine weights lambda_j(n) from the
 natural-order construction (battle_lemarie.translate_weights), folded into
 the filter, so psi and Psi are each one splines.beta_plus_filtered pass.
 Molecule checking certifies the decay / moment / Hoelder conditions on a
-grid, evaluating each derivative of the molecule once per grid.
+grid, evaluating each derivative of the molecule once per grid by central
+differences; the calibration of c0 and c reads only the envelope
+conditions (M2)-(M4) and skips the moment quadrature of (M1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -56,10 +58,7 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     mid = kmax + ltrunc + 2
     binom = gbinom_row(alpha + 1.0, ltrunc)
     ks = np.arange(-kmax, kmax + 1)
-    q = np.empty(ks.size)
-    for i, k in enumerate(ks):
-        idx = mid + np.arange(k - 1, k - 1 + ltrunc + 1)
-        q[i] = np.dot(binom, sam[idx])
+    q = sam[mid + ks[:, None] - 1 + np.arange(ltrunc + 1)] @ binom
     q *= 2.0**-alpha
     q[(ks % 2) != 0] *= -1.0
     return q
@@ -197,8 +196,6 @@ class MoleculeParams:
     N: int
     J: float
     s: float
-    p: float
-    r_w: float
 
     def __post_init__(self):
         if not (self.s - math.floor(self.s)) < self.delta <= 1.0:
@@ -235,7 +232,11 @@ def molecule_params_for(
             f"too small for s={s:g}, r_w={r_w:g}"
         )
     M = min(bound, J + 1.0)
-    return MoleculeParams(delta=delta, M=M, N=N, J=J, s=s, p=p, r_w=r_w)
+    return MoleculeParams(delta=delta, M=M, N=N, J=J, s=s)
+
+
+# largest |moment| for which a report's (M1) passes
+MOMENT_TOL = 1e-5
 
 
 @dataclass
@@ -253,10 +254,10 @@ class MoleculeReport:
         ]
         return max(vals) if vals else 0.0
 
-    def passes(self, moment_tol: float = 1e-5) -> bool:
+    def passes(self) -> bool:
         for name, entry in self.conditions.items():
             if name == "M1":
-                if entry["value"] > moment_tol:
+                if entry["value"] > MOMENT_TOL:
                     return False
             elif entry["ratio"] is not None and entry["ratio"] > 1.0 + 1e-9:
                 return False
@@ -268,16 +269,16 @@ def molecule_check(
     Q: tuple[int, int],
     params: MoleculeParams,
     grid=None,
-    derivs=None,
 ) -> MoleculeReport:
     """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
 
     ``fn`` is the candidate molecule m_Q itself (scaling included by the
-    caller); ``derivs`` maps gamma -> callable for exact derivatives, with a
-    central-difference fallback.  D^gamma m_Q is evaluated once on ``grid``
-    for gamma = 0..[s]; (M2)-(M4) read that table, (M4) at the grid pairs
-    of strides 1, 4, 16, 64.  (M1) takes a graded 12-point panel rule over
-    the grid's range.  Report-only: ratios > 1 mean the condition fails.
+    caller).  D^gamma m_Q, gamma = 0..[s], is evaluated once on ``grid``,
+    the derivatives as nested central differences of ``fn`` with step
+    1e-5 / 2^nu; (M2)-(M4) read that table, (M4) at the grid pairs of
+    strides 1, 4, 16, 64.  (M1) takes a graded 12-point panel rule over the
+    grid's range; it is void for N < 0.  Each condition maps to its
+    "value" and "ratio"; report-only: ratios > 1 mean the condition fails.
     """
     nu, tau = Q
     x_q = tau / 2.0**nu if nu > 0 else float(tau)
@@ -291,8 +292,6 @@ def molecule_check(
     def deriv(gamma, xs):
         if gamma == 0:
             return fn(xs)
-        if derivs is not None and gamma in derivs:
-            return derivs[gamma](xs)
         h = 1e-5 / scale
         return (deriv(gamma - 1, xs + h) - deriv(gamma - 1, xs - h)) / (2.0 * h)
 
@@ -309,7 +308,7 @@ def molecule_check(
         worst = max(
             abs(float(np.dot(wts, nodes**g * vals))) for g in range(N + 1)
         )
-        report.conditions["M1"] = {"value": worst, "bound": 0.0, "ratio": None}
+        report.conditions["M1"] = {"value": worst, "ratio": None}
 
     dist = np.abs(grid - x_q)
     star = "" if nu >= 1 else "*"
@@ -322,7 +321,6 @@ def molecule_check(
     v = np.abs(table[0])
     report.conditions["M2" + star] = {
         "value": float(np.max(v)),
-        "bound": None,
         "ratio": float(np.max(v / env2)),
     }
 
@@ -334,11 +332,7 @@ def molecule_check(
             env3 = 2.0 ** (nu / 2.0 + nu * g) * (1.0 + scale * dist) ** (-M)
             worst3 = max(worst3, float(np.max(np.abs(table[g]) / env3)))
         if nu >= 1 or s_floor >= 1:
-            report.conditions["M3" + star] = {
-                "value": None,
-                "bound": None,
-                "ratio": worst3,
-            }
+            report.conditions["M3" + star] = {"value": None, "ratio": worst3}
 
         g = s_floor
         strides = (1, 4, 16, 64)
@@ -354,7 +348,6 @@ def molecule_check(
         ok = bound > 0
         report.conditions["M4" + star] = {
             "value": float(np.max(diff)),
-            "bound": None,
             "ratio": float(np.max(diff[ok] / bound[ok])),
         }
     return report
@@ -405,33 +398,6 @@ class WaveletSystem:
             trunc=self.trunc,
             sign=self.psi_sign,
         )
-
-    def scale_window(self, pad: float = 40.0) -> tuple[float, float]:
-        """Interval holding the scaling function's mass.
-
-        Natural: the exact support [k, k+n+1].  Fractional: pad units from
-        the causal (anticausal) spline's left (right) support edge.
-        """
-        if self.kind == "natural-BL":
-            return (self.shift_k, self.shift_k + self.order + 1.0)
-        if self.variant == "causal":
-            return (self.shift_k, self.shift_k + pad)
-        return (self.shift_k - pad, self.shift_k)
-
-    def wavelet_window(self, pad: float = 40.0) -> tuple[float, float]:
-        """Interval holding the wavelet's mass.
-
-        Natural: the exact support [s-n, s+n+1] (battle_lemarie's
-        wavelet_support).  Fractional: from the support edge of the
-        truncated filter and the combination's translates, -trunc/2 - 2n
-        from s, to pad units from s on the spline's decaying side.
-        """
-        if self.kind == "natural-BL":
-            return (self.shift_s - self.order, self.shift_s + self.order + 1.0)
-        lo = -self.trunc / 2.0 - 2.0 * self.comb_n
-        if self.variant == "causal":
-            return (self.shift_s + lo, self.shift_s + pad)
-        return (self.shift_s - pad, self.shift_s - lo)
 
 
 def natural_system(n: int, shift_k: int = 0, shift_s: int = 0) -> WaveletSystem:
@@ -484,9 +450,14 @@ def calibrate_constants(
 
     c0 scales the order-alpha spline at nu = 0; c scales the dilated
     combined wavelet at nu >= 1.  Ratios are measured on the reference grid
-    and inverted with a 2% safety margin.
+    and inverted with a 2% safety margin.  No scale factor can make a
+    nonzero moment vanish, so the reports are taken with N = -1, which
+    voids (M1): (c0, c) read only the envelope ratios (M2)-(M4) and are
+    the same as with ``params``.  Certify (M1) on the calibrated system with
+    ``molecule_check`` and ``params``.
     """
     sysu = fractional_system(alpha, variant, comb_n, trunc=trunc)
+    params = replace(params, N=-1)
     rep0 = molecule_check(sysu.scale_fn, (0, 0), params)
     r0 = rep0.max_envelope_ratio
     c0 = min(1.0, 0.98 / r0) if r0 > 0 else 1.0

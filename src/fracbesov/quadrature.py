@@ -33,20 +33,15 @@ def panel_rule(breaks: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarr
 
 
 def graded_breaks(
-    a: float,
-    b: float,
-    knots: tuple[float, ...] = (),
-    per_unit: int = 2,
-    levels: int = 0,
-    min_width: float = 1e-13,
+    a: float, b: float, per_unit: int = 2, levels: int = 0
 ) -> np.ndarray:
     """Panel breakpoints on [a, b].
 
     Breaks sit on the 1/per_unit lattice (so spline knots at integers or
-    half-integers are panel ends), at every explicit knot, and - when
-    ``levels`` > 0 - on a geometric cascade of width ratios 1/2 on both
-    sides of each knot and lattice point.  Grading makes a fixed-order
-    Gauss rule accurate for |x - knot|^alpha kinks.
+    half-integers are panel ends) and - when ``levels`` > 0 - on a
+    geometric cascade of width ratios 1/2 on both sides of each lattice
+    point.  Grading makes a fixed-order Gauss rule accurate for
+    |x - knot|^alpha kinks.
     """
     if not b > a:
         raise ValueError(f"empty interval [{a}, {b}]")
@@ -58,17 +53,12 @@ def graded_breaks(
         pts.update(lattice)
     else:
         lattice = []
-    pts.update(k for k in knots if a < k < b)
-    if levels > 0:
-        centers = sorted(set(lattice) | {k for k in knots if a <= k <= b})
-        base = 1.0 / per_unit if per_unit > 0 else max(1.0, (b - a) / 8)
-        for c in centers:
-            for g in range(1, levels + 1):
-                for s in (-1.0, 1.0):
-                    p = c + s * base * 0.5 ** g
-                    if a < p < b:
-                        pts.add(p)
+    for c in lattice:
+        for g in range(1, levels + 1):
+            for s in (-1.0, 1.0):
+                p = c + s * 0.5**g / per_unit
+                if a < p < b:
+                    pts.add(p)
     out = np.array(sorted(pts))
-    keep = np.concatenate([[True], np.diff(out) > min_width])
+    keep = np.concatenate([[True], np.diff(out) > 1e-13])
     return out[keep]
-

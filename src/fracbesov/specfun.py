@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-_GBINOM_PRODUCT_MAX = 512
 # Euler-Maclaurin for Hurwitz zeta: direct terms, then B_2, B_4, ..., B_14
 _ZETA_DIRECT = 12
 _ZETA_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
@@ -75,38 +74,15 @@ def hurwitz_zeta(s: float, a):
     return float(out) if out.ndim == 0 else out
 
 
-def _is_nonneg_int(u: float) -> bool:
-    return u >= 0 and u == math.floor(u)
-
-
 def gbinom(u: float, k: int) -> float:
     """binom(u, k) for real u and integer k; zero for k < 0.
 
-    Small k uses the stable running product (1/k!) prod_{j<k} (u - j), which
-    also yields exact zeros for natural u with k > u.  Large k switches to
-    log-gamma with sign tracking via (-1)^k binom(u, k) = binom(k-u-1, k),
-    avoiding the poles of Gamma(u-k+1).
+    The last entry of gbinom_row(u, k): the running product (1/k!)
+    prod_{j<k} (u - j), exactly zero for natural u with k > u.
     """
     if k < 0:
         return 0.0
-    if k == 0:
-        return 1.0
-    if _is_nonneg_int(u) and k > u:
-        return 0.0
-    if k <= _GBINOM_PRODUCT_MAX:
-        acc = 1.0
-        for j in range(k):
-            acc *= (u - j) / (j + 1)
-            if acc == 0.0:
-                return 0.0
-        return acc
-    lg_num, s_num = signed_lgamma(k - u)
-    lg_d1, s_d1 = signed_lgamma(k + 1.0)
-    lg_d2, s_d2 = signed_lgamma(-u)
-    if s_d2 == 0:  # u natural was handled above; this is unreachable for k > u
-        return 0.0
-    sign = (-1 if k % 2 else 1) * s_num * s_d1 * s_d2
-    return sign * math.exp(lg_num - lg_d1 - lg_d2)
+    return float(gbinom_row(u, k)[k])
 
 
 def gbinom_real(u: float, v: float) -> float:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracbesov.battle_lemarie import bl_system, wavelet_support
+from fracbesov.battle_lemarie import bl_system
 from fracbesov.frac_wavelets import (
     InfeasibleOrderError,
     MoleculeParams,
@@ -320,6 +320,23 @@ class TestMoleculeCheck:
         assert rep1.passes()
         assert rep1.conditions["M1"]["value"] < 1e-5
 
+    def test_calibration_needs_no_moment_quadrature(self, monkeypatch):
+        # scale factors cannot decide (M1), so the calibration runs no panel
+        # rule; the constants are those of Example 5.1 with (M1) certified
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("calibration evaluated a moment quadrature")
+
+        monkeypatch.setattr("fracbesov.frac_wavelets.panel_rule", no_quadrature)
+        expected = {
+            (0.0, 5 / 3): (0.20756847809520673, 0.0032335175650289477),
+            (-1 / 3, 4 / 3): (0.23035715940027968, 0.0031840907866533324),
+        }
+        for (s, alpha), (c0_ref, c_ref) in expected.items():
+            params = molecule_params_for(2.0, 2.0, s, 1.0, alpha)
+            c0, c = calibrate_constants(alpha, "causal", 2, params, nus=(0, 1), trunc=60)
+            assert c0 == pytest.approx(c0_ref, rel=1e-12)
+            assert c == pytest.approx(c_ref, rel=1e-12)
+
     def test_translation_covariance(self):
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 5 / 3)
         sysf = fractional_system(5 / 3, "causal", 2, trunc=60)
@@ -455,14 +472,3 @@ class TestWaveletSystem:
         assert nat.scale_fn(x) * sys.Lambda_prime == pytest.approx(
             sys.beta_n * np.array([0.5, 0.8])
         )
-        # natural windows are the exact supports [k, k+n+1] and [s-n, s+n+1]
-        assert nat.scale_window() == (0, 2.0)
-        assert nat.wavelet_window() == (-1.0, 2.0)
-        assert nat.wavelet_window() == wavelet_support(sys)
-        assert natural_system(2, shift_s=-6).wavelet_window() == (-8.0, -3.0)
-
-    def test_fractional_windows(self):
-        f = fractional_system(5 / 3, "anticausal", 2, trunc=80)
-        lo, hi = f.wavelet_window(pad=30.0)
-        assert lo == -30.0
-        assert hi == pytest.approx(44.0)

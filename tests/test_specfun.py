@@ -126,7 +126,7 @@ class TestGbinom:
         assert 0.5 <= ratios[10_000] / ratios[100] <= 2.0
 
     def test_large_k_lgamma_branch_consistent(self):
-        # the k=513 lgamma branch must agree with the k<=512 product branch
+        # large k agrees with the direct product; natural u = 5 is exactly 0
         def prod_binom(u, k):
             acc = 1.0
             for j in range(k):
@@ -136,6 +136,7 @@ class TestGbinom:
         for u in (-1 / 3, 2 / 3, 8 / 3, 16 / 3):
             for k in (513, 750, 2000):
                 assert gbinom(u, k) == pytest.approx(prod_binom(u, k), rel=1e-9)
+        assert gbinom(5, 600) == 0.0
 
     def test_pascal_recurrence(self):
         rng = np.random.default_rng(20260809)
