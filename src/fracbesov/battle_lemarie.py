@@ -7,7 +7,9 @@ prod_j (1 + e^{iw} r_j) with beta_n^2 P_n(w) = |A_n(w)|^2.  The localized
 scaling function is beta_n B_n(. - k).  The localized wavelet is a finite
 cosine-weighted combination of translates of D = B_{2n+1}^(n+1) =
 Delta^(n+1) B_n, so it is itself a spline of order n on the integers of
-u = 2(x - s) + n: one splines.bspline_filtered pass with a 3n+2 tap filter.
+u = 2(x - s) + n: one splines.bspline_filtered pass with a 3n+2 tap filter,
+which folds the taps into the pp-form coefficients of its 4n+2 intervals
+once per call and takes n Horner steps per point.
 """
 
 from __future__ import annotations

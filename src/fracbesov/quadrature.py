@@ -40,25 +40,23 @@ def graded_breaks(
     Breaks sit on the 1/per_unit lattice (so spline knots at integers or
     half-integers are panel ends) and - when ``levels`` > 0 - on a
     geometric cascade of width ratios 1/2 on both sides of each lattice
-    point.  Grading makes a fixed-order Gauss rule accurate for
-    |x - knot|^alpha kinks.
+    point: the offsets +-2^-g / per_unit, g = 1..levels, broadcast over the
+    lattice and kept strictly inside (a, b).  Grading makes a fixed-order
+    Gauss rule accurate for |x - knot|^alpha kinks.  The points are sorted
+    and every point within 1e-13 of its predecessor is dropped, which also
+    removes exact repeats.
     """
     if not b > a:
         raise ValueError(f"empty interval [{a}, {b}]")
-    pts = {a, b}
+    lattice = offsets = np.empty(0)
     if per_unit > 0:
         lo = int(np.ceil(a * per_unit))
         hi = int(np.floor(b * per_unit))
-        lattice = [j / per_unit for j in range(lo, hi + 1)]
-        pts.update(lattice)
-    else:
-        lattice = []
-    for c in lattice:
-        for g in range(1, levels + 1):
-            for s in (-1.0, 1.0):
-                p = c + s * 0.5**g / per_unit
-                if a < p < b:
-                    pts.add(p)
-    out = np.array(sorted(pts))
+        lattice = np.arange(lo, hi + 1) / per_unit
+        steps = 0.5 ** np.arange(1, levels + 1)
+        offsets = np.concatenate([-steps, steps]) / per_unit
+    graded = (lattice[:, None] + offsets).ravel()
+    graded = graded[(a < graded) & (graded < b)]
+    out = np.sort(np.concatenate([[a, b], lattice, graded]))
     keep = np.concatenate([[True], np.diff(out) > 1e-13])
     return out[keep]

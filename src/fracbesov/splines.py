@@ -7,8 +7,11 @@ The causal spline of order alpha > 0 is the locally finite series
 the anticausal one is its reflection, and the symmetric one is the bilateral
 series over the kernel |x|_*^alpha with coefficients
 (-1)^k binom(alpha+1, k+(alpha+1)/2).  Natural orders are always routed to
-bspline_filtered, the exact piecewise-polynomial B_n on the integer lattice,
-never to the fractional series.  The symmetric spline's integer samples,
+bspline_filtered, never to the fractional series: on each integer interval
+a natural spline is one polynomial in the offset (de Boor's pp-form), whose
+coefficients come from the exact rational pieces of B_n, computed once per
+order, convolved with the spline's taps once per call and evaluated by
+Horner's rule at each point.  The symmetric spline's integer samples,
 which the wavelet filters use, come by Poisson summation instead: the
 lattice sum in their Fourier transform is a pair of Hurwitz zeta values in
 closed form, and one inverse FFT leaves only aliasing error O(N^(-alpha-2)).
@@ -69,19 +72,60 @@ def _is_even_int(a: float) -> bool:
 # natural B-splines
 # ---------------------------------------------------------------------------
 
+def _bspline_pieces_exact(n: int) -> list[list[Fraction]]:
+    """P[d][p] with B_n(f + p) = sum_d P[d][p] f^d on 0 <= f < 1, p = 0..n.
+
+    The Cox-de Boor recursion B_k(f + p) = ((f + p) B_{k-1}(f + p)
+    + (k + 1 - p - f) B_{k-1}(f + p - 1)) / k on the coefficient lists of
+    the pieces, in exact rationals, from B_0 = [1] on p = 0.
+    """
+    P = [[Fraction(1)]]  # P[p][d] at level k, pieces p = 0..k
+    for k in range(1, n + 1):
+        nxt = []
+        for p in range(k + 1):
+            acc = [Fraction(0)] * (k + 1)
+            if p < k:  # (f + p) B_{k-1}(f + p)
+                for d, a in enumerate(P[p]):
+                    acc[d] += p * a
+                    acc[d + 1] += a
+            if p > 0:  # (k + 1 - p - f) B_{k-1}(f + p - 1)
+                for d, a in enumerate(P[p - 1]):
+                    acc[d] += (k + 1 - p) * a
+                    acc[d + 1] -= a
+            nxt.append([a / k for a in acc])
+        P = nxt
+    return [[P[p][d] for p in range(n + 1)] for d in range(n + 1)]
+
+
+@lru_cache(maxsize=None)
+def _bspline_pieces(n: int) -> np.ndarray:
+    """The exact pieces of B_n rounded once: an (n + 1, n + 1) array P[d, p]."""
+    P = np.array(_bspline_pieces_exact(n), dtype=float)
+    P.flags.writeable = False
+    return P
+
+
 def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray:
     """sum_i c[i] B_n(u - k0 - i) at every point of u.
 
     This is the natural-order spline with coefficients c on the integers
     k0, k0 + 1, ...  Each point splits exactly into u = m + f, m = floor(u),
     and B_n is nonzero at f + p only for p = 0..n (B_0 is the indicator of
-    [0, 1)), so
+    [0, 1)), so on the integer interval j = m - k0 the spline is one
+    polynomial in the offset f (de Boor's pp-form):
 
-        out = sum_{p=0}^{n} c[m - k0 - p] B_n(f + p),
+        out = sum_{d=0}^{n} f^d sum_{p=0}^{n} P[d, p] c[j - p],
 
-    taps outside c counting as 0.  The n + 1 pieces B_n(f + p) come from
-    the Cox-de Boor recursion on the offsets, n passes over an
-    (n + 1, points) array whatever the length of c.  Non-finite u give NaN.
+    taps outside c counting as 0, with P the pieces of _bspline_pieces.
+    By the symmetry B_n(p + f) = B_n(n - p + (1 - f)) the same polynomial
+    is sum_d (1 - f)^d sum_p P[d, n - p] c[j - p], and a point with
+    f > 1/2 uses that form, so the Horner variable never exceeds 1/2 and
+    is exact; the knots (f = 0) read the rounded constant terms.  Per call
+    the taps are convolved with the pieces into a table with one column
+    per interval j = -1..len(c) + n for each form (the edge columns are 0),
+    2 (n + 1)^2 (len(c) + n + 2) multiply-adds; per point one column is
+    read and n Horner steps are taken, whatever the length of c.
+    Non-finite u give NaN.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -90,20 +134,25 @@ def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray:
     flat = u.ravel()
     m = np.floor(flat)
     f = flat - m
-    fp = f + np.arange(n + 1.0)[:, None]
-    # pieces[p] = B_k(f + p) at level k, nonzero for p <= k
-    pieces = np.zeros_like(fp)
-    pieces[0] = 1.0
-    for k in range(1, n + 1):
-        nxt = fp[: k + 1] * pieces[: k + 1]
-        nxt[1:] += (k + 1.0 - fp[1 : k + 1]) * pieces[:k]
-        pieces[: k + 1] = nxt / k
-    # tap m - k0 - p read from c padded by n + 1 zeros on each side; the
-    # float clip (fmax/fmin map NaN to the edge) keeps every index in range
+    # column j + 1 holds sum_p P[d, p] c[j - p] (windows of n + 1 taps of c
+    # padded by n + 1 zeros on each side, reversed against the pieces), and
+    # column width + j + 1 holds sum_p P[d, n - p] c[j - p]
+    width = c.size + n + 2
     cpad = np.concatenate([np.zeros(n + 1), c, np.zeros(n + 1)])
-    col = np.fmin(np.fmax(m - k0, -1.0), c.size + n).astype(np.intp) + n + 1
-    coef = cpad[col - np.arange(n + 1)[:, None]]
-    return np.einsum("pj,pj->j", coef, pieces).reshape(u.shape)
+    windows = cpad[np.arange(n + 1)[:, None] + np.arange(width)]
+    pieces = _bspline_pieces(n)
+    table = np.concatenate([pieces[:, ::-1] @ windows, pieces @ windows], axis=1)
+    right = f > 0.5
+    v = np.where(right, 1.0 - f, f)
+    # the float clip (fmax/fmin map NaN to the edge) keeps every index in range
+    col = np.fmin(np.fmax(m - (k0 - 1), 0.0), width - 1).astype(np.intp)
+    col += right * width
+    out = table[n][col]
+    for d in range(n - 1, -1, -1):
+        out *= v
+        out += table[d][col]
+    out[np.isnan(f)] = np.nan
+    return out.reshape(u.shape)
 
 
 def bspline_natural(n: int, x):

@@ -1,0 +1,67 @@
+"""Natural Battle-Lemarie certification against the benchmark's stored values.
+
+fracbench/reference.json holds the (M2)/(M2*) ratios of molecule_check on
+the natural systems of orders 1..4 at s = 0, 1 and nu = 0, 1, 2.  The
+benchmark's bl-certify check asks for the same ratios to 1e-9 relative,
+(M1) within the moment tolerance and reports that agree across (nu, tau);
+this runs that check on the evaluators directly.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from fracbesov.frac_wavelets import MOMENT_TOL, molecule_check, molecule_params_for, natural_system
+
+REFERENCE = Path(__file__).resolve().parents[1] / "fracbench" / "reference.json"
+SEED_M2 = json.loads(REFERENCE.read_text(encoding="utf-8"))["seed_outputs"]["bl_m2"]
+REL_TOL = 1e-9
+
+
+def case(key: str) -> tuple[int, int, int]:
+    fields = dict(item.split("=") for item in key.split(","))
+    return int(fields["n"]), int(fields["s"]), int(fields["nu"])
+
+
+def report(n: int, s: int, nu: int, tau: int):
+    sysn = natural_system(n)
+    params = molecule_params_for(2.0, 2.0, float(s), 1.0, float(n))
+    if nu == 0:
+        return molecule_check(sysn.scale_fn, (0, tau), params)
+
+    def m_q(x):
+        return 2.0 ** (nu / 2.0) * sysn.wavelet_fn(2.0**nu * x - tau)
+
+    return molecule_check(m_q, (nu, tau), params)
+
+
+def rel(a: float, b: float) -> float:
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("key", sorted(SEED_M2))
+def test_matches_stored_ratios(key):
+    n, s, nu = case(key)
+    taus = (0,) if nu == 0 else (-5, 3)
+    reps = [report(n, s, nu, tau) for tau in taus]
+    for rep in reps:
+        name = "M2" if nu >= 1 else "M2*"
+        assert rel(rep.conditions[name]["ratio"], SEED_M2[key]) <= REL_TOL
+        if "M1" in rep.conditions:
+            assert rep.conditions["M1"]["value"] <= MOMENT_TOL
+    # the reports do not depend on where the molecule sits
+    for rep in reps[1:]:
+        assert set(rep.conditions) == set(reps[0].conditions)
+        for name, entry in reps[0].conditions.items():
+            if name != "M1":
+                assert rel(rep.conditions[name]["ratio"], entry["ratio"]) <= REL_TOL
+
+
+@pytest.mark.parametrize("n,s", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)])
+def test_ratios_agree_across_levels(n, s):
+    r1, r2 = report(n, s, 1, 7), report(n, s, 2, -8)
+    assert set(r1.conditions) == set(r2.conditions)
+    for name, entry in r1.conditions.items():
+        if name != "M1":
+            assert rel(r2.conditions[name]["ratio"], entry["ratio"]) <= REL_TOL

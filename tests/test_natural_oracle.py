@@ -16,6 +16,7 @@ import pytest
 from fracbesov.battle_lemarie import bl_system, wavelet_gamma, wavelet_localized
 from fracbesov.splines import (
     FractionalSpline,
+    _bspline_pieces_exact,
     bspline_derivative,
     bspline_filtered,
     bspline_integer_samples,
@@ -69,6 +70,52 @@ def test_filtered_matches_exact(n):
 def test_integer_samples_match_exact():
     for n in range(12):
         assert bspline_integer_samples(n) == tuple(exact_bspline(n, Fraction(j)) for j in range(n + 2))
+
+
+def poly_derivative_at(coeffs, r: int, f: int) -> Fraction:
+    """The r-th derivative of sum_d coeffs[d] f^d at an integer f, exactly."""
+    return sum(
+        (a * math.perm(d, r) * f ** (d - r) for d, a in enumerate(coeffs) if d >= r),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_exact_pieces(n):
+    P = _bspline_pieces_exact(n)
+    pieces = [[P[d][p] for d in range(n + 1)] for p in range(n + 1)]
+    zero = [Fraction(0)] * (n + 1)
+    # partition of unity: the pieces sum to the constant polynomial 1
+    assert [sum(row) for row in P] == [1] + [0] * n
+    # C^(n-1) joins, the pieces outside 0..n counting as 0
+    for p in range(-1, n + 1):
+        left = pieces[p] if p >= 0 else zero
+        right = pieces[p + 1] if p < n else zero
+        for r in range(n):
+            assert poly_derivative_at(left, r, 1) == poly_derivative_at(right, r, 0)
+    # constant terms are the integer samples
+    assert P[0] == list(bspline_integer_samples(n)[: n + 1])
+    # the reflection B_n(p + 1 - f) = B_n(n - p + f) that bspline_filtered
+    # uses for offsets above 1/2: coefficient k of piece p at 1 - f
+    for p in range(n + 1):
+        reflected = [
+            sum((pieces[p][d] * math.comb(d, k) * (-1) ** k for d in range(k, n + 1)), Fraction(0))
+            for k in range(n + 1)
+        ]
+        assert reflected == pieces[n - p]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_non_finite_gives_nan(n):
+    bad = [float("nan"), np.inf, -np.inf]
+    with np.errstate(invalid="ignore"):
+        for v in bad:
+            assert math.isnan(bspline_natural(n, v))
+        u = np.array(bad + [0.5])
+        got = bspline_natural(n, u)
+        filtered = bspline_filtered(n, u, [1.0, -2.0, 3.0], -1)
+    assert np.all(np.isnan(got[:3])) and np.isfinite(got[3])
+    assert np.all(np.isnan(filtered[:3])) and np.isfinite(filtered[3])
 
 
 def test_natural_matches_exact():

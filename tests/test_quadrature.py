@@ -1,0 +1,64 @@
+"""graded_breaks against the set-based construction it replaced."""
+
+import numpy as np
+import pytest
+
+from fracbesov.quadrature import graded_breaks
+
+
+def reference_graded_breaks(a, b, per_unit=2, levels=0):
+    """Lattice and cascade points inserted one by one into a set."""
+    pts = {a, b}
+    if per_unit > 0:
+        lo = int(np.ceil(a * per_unit))
+        hi = int(np.floor(b * per_unit))
+        lattice = [j / per_unit for j in range(lo, hi + 1)]
+        pts.update(lattice)
+    else:
+        lattice = []
+    for c in lattice:
+        for g in range(1, levels + 1):
+            for s in (-1.0, 1.0):
+                p = c + s * 0.5**g / per_unit
+                if a < p < b:
+                    pts.add(p)
+    out = np.array(sorted(pts))
+    keep = np.concatenate([[True], np.diff(out) > 1e-13])
+    return out[keep]
+
+
+def test_molecule_windows():
+    # the (M1) windows of molecule_check's default grid
+    for nu in range(4):
+        scale = 2.0**nu
+        for tau in range(-8, 9):
+            x_q = tau / scale if nu > 0 else float(tau)
+            grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / scale
+            a, b = float(grid.min()), float(grid.max())
+            for levels in range(4):
+                args = (a, b, max(2, int(2 * scale)), levels)
+                assert np.array_equal(graded_breaks(*args), reference_graded_breaks(*args))
+
+
+def test_random_intervals():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        per_unit = int(rng.integers(0, 9))
+        levels = int(rng.integers(0, 4))
+        a = float(rng.uniform(-20.0, 20.0))
+        b = a + float(rng.uniform(1e-3, 15.0))
+        if per_unit > 0 and rng.random() < 0.5:
+            # ends on or within 1e-13 of lattice and cascade points
+            a = np.round(a * per_unit) / per_unit + float(rng.choice([0.0, 3e-14, -0.25 / per_unit]))
+            b = np.round(b * per_unit) / per_unit + float(rng.choice([0.0, -3e-14, 0.5 / per_unit]))
+            if not b > a:
+                continue
+        args = (a, b, per_unit, levels)
+        got = graded_breaks(*args)
+        assert np.array_equal(got, reference_graded_breaks(*args))
+        assert np.all(np.diff(got) > 1e-13)
+
+
+def test_empty_interval():
+    with pytest.raises(ValueError):
+        graded_breaks(1.0, 1.0)
