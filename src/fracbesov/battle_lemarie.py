@@ -195,15 +195,19 @@ def translate_weights(sys: BLSystem, sign: float) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=64)
 def _wavelet_taps(sys: BLSystem, sign: float) -> np.ndarray:
     """Coefficients d_k, k = -n..2n+1, with Psi = gamma/2^n sum_k d_k B_n(u - k).
 
     D = B_{2n+1}^(n+1) = sum_{i=0}^{n+1} (-1)^i binom(n+1, i) B_n(. - i),
     so d is translate_weights reversed (the weights of D(u - t), t = -n..n)
-    convolved with that signed binomial row.
+    convolved with that signed binomial row.  Built once per (sys, sign)
+    and returned read-only.
     """
     row = [(-1.0) ** i * math.comb(sys.n + 1, i) for i in range(sys.n + 2)]
-    return np.convolve(translate_weights(sys, sign)[::-1], row)
+    d = np.convolve(translate_weights(sys, sign)[::-1], row)
+    d.flags.writeable = False
+    return d
 
 
 def wavelet_localized(sys: BLSystem, x, sign: float = 1.0):

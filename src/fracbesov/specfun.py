@@ -1,49 +1,20 @@
-"""Gamma/Beta/Hurwitz zeta functions, generalized binomials and finite differences.
+"""The Hurwitz zeta function and rows of generalized binomials.
 
 The generalized binomial binom(u, k) = Gamma(u+1) / (Gamma(k+1) Gamma(u-k+1))
 with real upper argument is the workhorse of every fractional-spline series
-in this package.  It is zero for k < 0, and for natural u it degenerates to
-the ordinary binomial (zero beyond k = u).
+in this package; gbinom_row gives k = 0..kmax by the running product, which
+for natural u degenerates to the ordinary binomial (zero beyond k = u).
+hurwitz_zeta gives the closed-form lattice sums of the symmetric spline's
+Poisson samples.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 # Euler-Maclaurin for Hurwitz zeta: direct terms, then B_2, B_4, ..., B_14
 _ZETA_DIRECT = 12
 _ZETA_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
-
-
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real x away from the poles at 0, -1, -2, ..."""
-    if x <= 0 and x == math.floor(x):
-        raise GammaPoleError(f"gamma pole at x={x}")
-    return math.gamma(x)
-
-
-def signed_lgamma(x: float) -> tuple[float, int]:
-    """(log|Gamma(x)|, sign of Gamma(x)); sign is 0 at a pole."""
-    if x <= 0 and x == math.floor(x):
-        return math.inf, 0
-    if x > 0:
-        return math.lgamma(x), 1
-    # on (m, m+1) with m = floor(x) < 0 the sign is (-1)^m
-    sign = -1 if int(math.floor(x)) % 2 else 1
-    return math.lgamma(x), sign
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Euler Beta function B(a, b) for a, b > 0."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def hurwitz_zeta(s: float, a):
@@ -74,34 +45,6 @@ def hurwitz_zeta(s: float, a):
     return float(out) if out.ndim == 0 else out
 
 
-def gbinom(u: float, k: int) -> float:
-    """binom(u, k) for real u and integer k; zero for k < 0.
-
-    The last entry of gbinom_row(u, k): the running product (1/k!)
-    prod_{j<k} (u - j), exactly zero for natural u with k > u.
-    """
-    if k < 0:
-        return 0.0
-    return float(gbinom_row(u, k)[k])
-
-
-def gbinom_real(u: float, v: float) -> float:
-    """binom(u, v) for real u, v via Gamma, with the 0-at-pole convention.
-
-    Used for symmetric-spline coefficients binom(alpha+1, k + (alpha+1)/2)
-    where the lower argument is not an integer.  A pole of either
-    denominator Gamma (with finite numerator) gives 0.
-    """
-    lg_num, s_num = signed_lgamma(u + 1.0)
-    if s_num == 0:
-        raise GammaPoleError(f"gbinom_real numerator pole at u={u}")
-    lg_d1, s_d1 = signed_lgamma(v + 1.0)
-    lg_d2, s_d2 = signed_lgamma(u - v + 1.0)
-    if s_d1 == 0 or s_d2 == 0:
-        return 0.0
-    return s_num * s_d1 * s_d2 * math.exp(lg_num - lg_d1 - lg_d2)
-
-
 def gbinom_row(u: float, kmax: int) -> np.ndarray:
     """[binom(u, 0), ..., binom(u, kmax)] via the running-ratio recurrence."""
     out = np.empty(kmax + 1)
@@ -109,22 +52,3 @@ def gbinom_row(u: float, kmax: int) -> np.ndarray:
     for k in range(kmax):
         out[k + 1] = out[k] * (u - k) / (k + 1)
     return out
-
-
-def chu_vandermonde_residual(r: float, s: float, k: int) -> float:
-    """binom(r+s, k) - sum_{n=0}^{k} binom(r, n) binom(s, k-n)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    conv = sum(gbinom(r, n) * gbinom(s, k - n) for n in range(k + 1))
-    return gbinom(r + s, k) - conv
-
-
-def finite_difference(f, h: float, n: int, x: float) -> float:
-    """Forward iterated difference sum_{j} (-1)^j binom(n,j) f(x + (n-j) h)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(
-        (-1) ** j * math.comb(n, j) * f(x + (n - j) * h) for j in range(n + 1)
-    )

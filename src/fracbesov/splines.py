@@ -1,20 +1,21 @@
-"""Natural B-splines and fractional B-splines (causal/anticausal/symmetric).
+"""Natural B-splines, causal and anticausal fractional B-splines, and the
+integer samples of the symmetric fractional B-spline.
 
 The causal spline of order alpha > 0 is the locally finite series
 
     beta_plus(x) = 1/Gamma(alpha+1) * sum_k (-1)^k binom(alpha+1, k) (x-k)_+^alpha,
 
-the anticausal one is its reflection, and the symmetric one is the bilateral
-series over the kernel |x|_*^alpha with coefficients
-(-1)^k binom(alpha+1, k+(alpha+1)/2).  Natural orders are always routed to
-bspline_filtered, never to the fractional series: on each integer interval
-a natural spline is one polynomial in the offset (de Boor's pp-form), whose
-coefficients come from the exact rational pieces of B_n, computed once per
-order, convolved with the spline's taps once per call and evaluated by
-Horner's rule at each point.  The symmetric spline's integer samples,
-which the wavelet filters use, come by Poisson summation instead: the
-lattice sum in their Fourier transform is a pair of Hurwitz zeta values in
-closed form, and one inverse FFT leaves only aliasing error O(N^(-alpha-2)).
+and the anticausal one is its reflection; both are evaluated by
+beta_plus_filtered, the package's one fractional evaluator.  Natural orders
+are always routed to bspline_filtered, never to the fractional series: on
+each integer interval a natural spline is one polynomial in the offset
+(de Boor's pp-form), whose coefficients come from the exact rational pieces
+of B_n, computed once per order, convolved with the spline's taps once per
+call and evaluated by Horner's rule at each point.  The symmetric spline
+beta_*^alpha enters only through its integer samples, which the wavelet
+filters use; they come by Poisson summation: the lattice sum in their
+Fourier transform is a pair of Hurwitz zeta values in closed form, and one
+inverse FFT leaves only aliasing error O(N^(-alpha-2)).
 """
 
 from __future__ import annotations
@@ -26,46 +27,36 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import gbinom_real, gbinom_row, hurwitz_zeta
+from .specfun import gbinom_row, hurwitz_zeta
 
-VARIANTS = ("causal", "anticausal", "symmetric")
+VARIANTS = ("causal", "anticausal")
 
 
 class TruncationError(RuntimeError):
-    """Symmetric-spline series tail estimate exceeded the requested tolerance."""
+    """The psi lattice-tail estimate of frac_wavelets exceeded its tolerance."""
 
 
 @dataclass(frozen=True)
 class FractionalSpline:
-    """A fractional B-spline beta^alpha with shift and truncation policy.
+    """A one-sided fractional B-spline beta^alpha translated by shift_k.
 
-    alpha > 0; the causal variant vanishes identically left of shift_k.
-    trunc_terms is the bilateral cutoff K of the symmetric series and
-    tail_tol the acceptable post-correction tail estimate.
+    alpha > 0; variant is "causal" (beta_+^alpha, zero left of shift_k) or
+    "anticausal" (its reflection, zero right of shift_k).
     """
 
     alpha: float
     variant: str = "causal"
     shift_k: int = 0
-    trunc_terms: int = 4000
-    tail_tol: float = 1e-6
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.trunc_terms < 2:
-            # the symmetric series' tail model fits its last two terms
-            raise ValueError(f"trunc_terms must be >= 2, got {self.trunc_terms}")
 
 
 def _is_nat(a: float) -> bool:
     return a == math.floor(a) and a >= 0
-
-
-def _is_even_int(a: float) -> bool:
-    return a == math.floor(a) and int(a) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -194,36 +185,6 @@ def bspline_derivative(n: int, order: int, x):
 
 
 # ---------------------------------------------------------------------------
-# truncated powers
-# ---------------------------------------------------------------------------
-
-def truncated_power(x, alpha: float, kind: str):
-    """x_+^alpha, x_-^alpha or |x|_*^alpha.
-
-    The star kernel is |x|^alpha / (-2 sin(pi alpha / 2)) for alpha not an
-    even integer and (-1)^(alpha/2+1) x^alpha log|x| / pi for even alpha
-    (evaluated as |x|^alpha log|x|, symmetric in x; 0 at x = 0).
-    """
-    scalar = np.isscalar(x)
-    x = np.asarray(x, dtype=float)
-    if kind == "plus":
-        out = np.where(x >= 0.0, np.abs(x) ** alpha, 0.0)
-    elif kind == "minus":
-        out = np.where(x <= 0.0, np.abs(x) ** alpha, 0.0)
-    elif kind == "star":
-        ax = np.abs(x)
-        if _is_even_int(alpha):
-            sign = (-1.0) ** (int(alpha) // 2 + 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(ax > 0.0, sign * ax**alpha * np.log(ax) / math.pi, 0.0)
-        else:
-            out = ax**alpha / (-2.0 * math.sin(math.pi * alpha / 2.0))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return float(out) if scalar else out
-
-
-# ---------------------------------------------------------------------------
 # fractional B-splines
 # ---------------------------------------------------------------------------
 
@@ -327,70 +288,6 @@ def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray:
     return out.reshape(u.shape)
 
 
-def _beta_plus_values(alpha: float, y: np.ndarray) -> np.ndarray:
-    """Causal beta_+^alpha on an array: beta_plus_filtered with h = [1]."""
-    return beta_plus_filtered(alpha, y, np.ones(1), 0)
-
-
-@lru_cache(maxsize=64)
-def _star_coeffs(alpha: float, K: int) -> np.ndarray:
-    """(-1)^k binom(alpha+1, k+(alpha+1)/2) / Gamma(alpha+1) for |k| <= K."""
-    ks = np.arange(-K, K + 1)
-    c = np.array([gbinom_real(alpha + 1.0, k + (alpha + 1.0) / 2.0) for k in ks])
-    c[(ks % 2) != 0] *= -1.0
-    return c / math.gamma(alpha + 1.0)
-
-
-def _star_tail_correction(t_prev, t_last, K: int) -> np.ndarray:
-    """One-sided tails of sum_{k>K} t(k) from the model t(k) = (a + b ln k)/k^2.
-
-    Elementwise over the points; a point whose last term t(K) is 0 has none.
-    """
-    fK, fK1 = t_prev * (K - 1) ** 2, t_last * K**2
-    b = (fK1 - fK) / (math.log(K) - math.log(K - 1))
-    a = fK1 - b * math.log(K)
-    kc = K + 0.5
-    return np.where(t_last == 0.0, 0.0, (a + b * (math.log(kc) + 1.0)) / kc)
-
-
-def _beta_star_values(
-    alpha: float, y: np.ndarray, K: int, tail_tol: float | None
-) -> np.ndarray:
-    """Symmetric beta_*^alpha by its bilateral series plus tail correction."""
-    c = _star_coeffs(alpha, K)
-    if abs(c[0]) == 0.0 and abs(c[-1]) == 0.0:
-        # finitely supported coefficients (odd natural alpha): exact sum
-        ks = np.arange(-K, K + 1)
-        nz = c != 0.0
-        acc = np.zeros_like(y)
-        for k, ck in zip(ks[nz], c[nz]):
-            acc += ck * truncated_power(y - k, alpha, "star")
-        return acc
-    ks = np.arange(-K, K + 1)
-    acc = np.zeros_like(y)
-    step = max(1, int(4_000_000 // max(1, y.size)))
-    for k0 in range(0, ks.size, step):
-        kk = ks[k0 : k0 + step]
-        g = truncated_power(y[:, None] - kk[None, :], alpha, "star")
-        acc += g @ c[k0 : k0 + step]
-    # correct both slowly decaying one-signed tails
-    corr = np.zeros_like(y)
-    worst = 0.0
-    for idx_last, idx_prev, sgn in ((2 * K, 2 * K - 1, 1.0), (0, 1, -1.0)):
-        t_last = c[idx_last] * truncated_power(y - sgn * K, alpha, "star")
-        t_prev = c[idx_prev] * truncated_power(y - sgn * (K - 1), alpha, "star")
-        ci = _star_tail_correction(t_prev, t_last, K)
-        corr += ci
-        # measured to overestimate the post-correction residual ~10x
-        worst = max(worst, float(np.max(np.abs(ci) / K, initial=0.0)))
-    if tail_tol is not None and worst > tail_tol:
-        raise TruncationError(
-            f"beta_* tail estimate {worst:.2e} exceeds tail_tol {tail_tol:.2e} "
-            f"at K={K}; increase trunc_terms"
-        )
-    return acc + corr
-
-
 @lru_cache(maxsize=32)
 def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     """beta_*^alpha at the integers -mmax..mmax via Poisson summation.
@@ -403,8 +300,7 @@ def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     and F(0) = 1.  On the grid t = k/N, N a power of two, 1 - t is exactly
     the mirrored grid point, so one zeta evaluation serves both terms.  An
     inverse FFT of the N samples of F recovers the integer values with
-    aliasing error O(N^(-alpha-2)).  This is far more accurate in the tail
-    than truncating the bilateral series, and is what the wavelet filters use.
+    aliasing error O(N^(-alpha-2)).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -424,13 +320,10 @@ def frac_bspline(spec: FractionalSpline, x):
     """Evaluate beta^alpha at x (scalar or array) for the given variant."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     y = np.atleast_1d(np.asarray(x, dtype=float)) - spec.shift_k
-    if spec.variant == "causal":
-        out = _beta_plus_values(spec.alpha, y)
-    elif spec.variant == "anticausal":
-        out = _beta_plus_values(spec.alpha, -y)
-    else:
-        out = _beta_star_values(spec.alpha, y.ravel(), spec.trunc_terms, spec.tail_tol)
-    return float(out[0]) if scalar else out.reshape(y.shape)
+    if spec.variant == "anticausal":
+        y = -y
+    out = beta_plus_filtered(spec.alpha, y, np.ones(1), 0)
+    return float(out[0]) if scalar else out
 
 
 def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
@@ -446,8 +339,6 @@ def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
         raise ValueError(
             f"order alpha-gamma = {spec.alpha - gamma} out of range (need > -1/2)"
         )
-    if spec.variant == "symmetric":
-        raise ValueError("derivative formula implemented for one-sided variants only")
     scalar = np.isscalar(x) or np.ndim(x) == 0
     y = np.atleast_1d(np.asarray(x, dtype=float)) - spec.shift_k
     if spec.variant == "anticausal":
@@ -457,49 +348,3 @@ def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
     if spec.variant == "anticausal" and gamma % 2:
         acc = -acc
     return float(acc[0]) if scalar else acc
-
-
-# ---------------------------------------------------------------------------
-# decay envelope and partition of unity
-# ---------------------------------------------------------------------------
-
-def _int_dist_star(x, alpha: float):
-    d = np.abs(np.asarray(x, dtype=float))
-    d = np.abs(d - np.round(d))
-    return truncated_power(d, alpha, "star")
-
-
-def fit_decay_envelope(spec: FractionalSpline, grid) -> tuple[float, float]:
-    """Calibrate (K_alpha, C_alpha) so the decay envelope holds on ``grid``.
-
-    The envelope bound is K_alpha * {dist to nearest integer}_*^alpha + C_alpha
-    against |beta(x)| (1 + |x|^(alpha+2)).  The constants are implementation
-    artifacts fitted by least squares and inflated to cover the grid.
-    """
-    grid = np.asarray(grid, dtype=float)
-    E = np.abs(frac_bspline(spec, grid)) * (1.0 + np.abs(grid) ** (spec.alpha + 2.0))
-    e = _int_dist_star(grid, spec.alpha)
-    A = np.vstack([e, np.ones_like(e)]).T
-    kfit, cfit = np.linalg.lstsq(A, E, rcond=None)[0]
-    if kfit < 0.0:
-        kfit = 0.0
-    slack = np.max(E - (kfit * e + cfit))
-    cfit = cfit + max(0.0, slack) * 1.25 + 1e-9
-    return float(kfit), float(cfit)
-
-
-def decay_envelope_residual(
-    spec: FractionalSpline, x, constants: tuple[float, float]
-) -> float:
-    """|beta(x)| (1+|x|^(alpha+2)) - (K_a {dist}_*^alpha + C_a); <= 0 when bounded."""
-    k_a, c_a = constants
-    val = abs(frac_bspline(spec, float(x)))
-    lhs = val * (1.0 + abs(x) ** (spec.alpha + 2.0))
-    return float(lhs - (k_a * float(_int_dist_star(x, spec.alpha)) + c_a))
-
-
-def partition_of_unity_residual(spec: FractionalSpline, x: float, K: int) -> float:
-    """|sum_{|tau| <= K} beta(x - tau) - 1|."""
-    taus = np.arange(-K, K + 1)
-    vals = frac_bspline(spec, x - taus)
-    return float(abs(vals.sum() - 1.0))

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from fracbesov.battle_lemarie import (
     BLSystem,
+    _wavelet_taps,
     autocorrelation_symbol,
     bl_system,
     euler_frobenius_roots,
@@ -124,6 +125,14 @@ class TestScaling:
 
 
 class TestWavelet:
+    def test_taps_built_once(self):
+        # the taps depend only on the frozen system and the sign
+        sys = bl_system(3)
+        for sign in (1.0, -1.0):
+            taps = _wavelet_taps(sys, sign)
+            assert _wavelet_taps(sys, sign) is taps
+            assert not taps.flags.writeable
+
     def _moments(self, sys, gmax):
         a, b = wavelet_support(sys)
         breaks = graded_breaks(a, b, per_unit=4, levels=0)

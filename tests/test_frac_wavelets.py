@@ -443,9 +443,6 @@ class TestShapes:
         fns = [
             lambda x: frac_bspline(FractionalSpline(alpha=5 / 3), x),
             lambda x: frac_bspline(FractionalSpline(alpha=5 / 3, variant="anticausal"), x),
-            lambda x: frac_bspline(
-                FractionalSpline(alpha=1.5, variant="symmetric", trunc_terms=400, tail_tol=1.0), x
-            ),
             lambda x: frac_bspline_derivative(FractionalSpline(alpha=5 / 3), 1, x),
             lambda x: frac_bspline_derivative(
                 FractionalSpline(alpha=13 / 3, variant="anticausal"), 2, x

@@ -6,20 +6,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracbesov.specfun import gbinom
+from fracbesov.specfun import gbinom_row
 from fracbesov.splines import (
     FractionalSpline,
-    TruncationError,
+    beta_plus_filtered,
     beta_star_integer_samples,
     bspline_derivative,
     bspline_integer_samples,
     bspline_natural,
-    decay_envelope_residual,
-    fit_decay_envelope,
     frac_bspline,
     frac_bspline_derivative,
-    partition_of_unity_residual,
-    truncated_power,
 )
 
 
@@ -75,35 +71,6 @@ class TestNaturalBSpline:
             assert bspline_derivative(n, order, x) == pytest.approx(fd2, abs=1e-7)
 
 
-class TestTruncatedPower:
-    def test_plus(self):
-        assert truncated_power(-2.0, 0.5, "plus") == 0.0
-        assert truncated_power(4.0, 0.5, "plus") == pytest.approx(2.0)
-
-    def test_minus_reflects(self):
-        assert truncated_power(-4.0, 0.5, "minus") == pytest.approx(2.0)
-        assert truncated_power(4.0, 0.5, "minus") == 0.0
-
-    def test_star_non_even(self):
-        # |1|_*^(1/2) = -1 / (2 sin(pi/4)) = -1/sqrt(2)
-        assert truncated_power(1.0, 0.5, "star") == pytest.approx(
-            -1.0 / math.sqrt(2.0), abs=1e-12
-        )
-
-    def test_star_even_branch(self):
-        # |x|_*^2 = x^2 log|x| / pi, symmetric, 0 at the origin
-        x = 1.7
-        assert truncated_power(x, 2.0, "star") == pytest.approx(
-            x * x * math.log(x) / math.pi, rel=1e-13
-        )
-        assert truncated_power(-x, 2.0, "star") == truncated_power(x, 2.0, "star")
-        assert truncated_power(0.0, 2.0, "star") == 0.0
-        # alpha = 4 carries sign (-1)^(4/2+1) = -1
-        assert truncated_power(x, 4.0, "star") == pytest.approx(
-            -(x**4) * math.log(x) / math.pi, rel=1e-13
-        )
-
-
 class TestCausalFractional:
     def test_natural_anchor(self):
         # the fractional series telescopes to the recursion: beta_+^n == B_n.
@@ -119,9 +86,6 @@ class TestCausalFractional:
     def test_series_matches_recursion_offnatural_limit(self):
         # independent check that the generic series path (not the natural
         # routing) also reproduces B_2 when evaluated at alpha = 2
-        from fracbesov.splines import _beta_plus_values
-        from fracbesov.specfun import gbinom_row
-
         xs = np.linspace(0.0, 3.0, 31)
         coeffs = gbinom_row(3.0, 3)
         coeffs[1::2] *= -1
@@ -135,8 +99,6 @@ class TestCausalFractional:
         # oracle: the truncated-power series summed directly at 40 digits;
         # bound: the forward error of summing its m+1 rounded float terms,
         # (m + 2) eps sum_k |c_k (y-k)^alpha| (recursive summation)
-        from fracbesov.splines import _beta_plus_values
-
         def direct(y):
             a, y = mp.mpf(alpha), mp.mpf(float(y))
             ck, val, mag, k = mp.mpf(1), mp.mpf(0), mp.mpf(0), 0
@@ -161,7 +123,7 @@ class TestCausalFractional:
             }
         for y in (shared, distinct, integers, far,
                   np.concatenate([distinct, far, integers])):
-            got = _beta_plus_values(alpha, y)
+            got = beta_plus_filtered(alpha, y, np.ones(1), 0)
             for yi, gi in zip(y, got):
                 val, mag, terms = oracle[float(yi)]
                 assert abs(gi - val) <= (terms + 1) * eps * mag, (yi, gi, val)
@@ -198,10 +160,8 @@ class TestCausalFractional:
             xs = np.linspace(0.0, 4.0, 41)
             lhs = frac_bspline(spec, xs)
             rhs = np.zeros_like(lhs)
-            for k in range(0, 10):
-                rhs += 2.0**-alpha * gbinom(alpha + 1, k) * frac_bspline(
-                    spec, 2 * xs - k
-                )
+            for k, b in enumerate(gbinom_row(alpha + 1, 9)):
+                rhs += 2.0**-alpha * b * frac_bspline(spec, 2 * xs - k)
             assert np.max(np.abs(lhs - rhs)) < 1e-6
 
     def test_holder_probe(self):
@@ -219,25 +179,21 @@ class TestCausalFractional:
 
 class TestSymmetricFractional:
     def test_order_one_is_hat(self):
-        spec = FractionalSpline(alpha=1.0, variant="symmetric", trunc_terms=50)
-        for x in (-0.5, 0.0, 0.25, 0.5, 1.0, 1.5):
-            assert frac_bspline(spec, x) == pytest.approx(
-                max(0.0, 1.0 - abs(x)), abs=1e-12
-            )
+        # beta_*^1 is the hat 1 - |x| on [-1, 1]: its samples are the unit impulse
+        sam = beta_star_integer_samples(1.0, 3)
+        assert sam == pytest.approx([0, 0, 0, 1, 0, 0, 0], abs=1e-15)
 
-    def test_evenness(self):
-        spec = FractionalSpline(alpha=13 / 3, variant="symmetric", trunc_terms=4000)
-        xs = np.array([0.3, 0.9, 1.4, 2.2])
-        assert frac_bspline(spec, xs) == pytest.approx(
-            frac_bspline(spec, -xs), abs=1e-12
-        )
+    def test_variant_rejected(self):
+        # beta_* enters only through its integer samples
+        with pytest.raises(ValueError, match="unknown variant"):
+            FractionalSpline(1.5, "symmetric")
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5, 5 / 3])
     def test_series_matches_autocorrelation(self, alpha):
         # oracle: beta_*^(2a+1)(m) = <beta_+^a, beta_+^a(. - m)> by quadrature
         a2 = 2 * alpha + 1
         plus = FractionalSpline(alpha=alpha)
-        spec = FractionalSpline(alpha=a2, variant="symmetric", trunc_terms=4000)
+        sam = beta_star_integer_samples(a2, 2)
         for m in (0, 1, 2):
             oracle = 0.0
             for lo in range(max(0, m), m + 60, 3):
@@ -248,16 +204,7 @@ class TestSymmetricFractional:
                     limit=200,
                 )
                 oracle += v
-            assert frac_bspline(spec, float(m)) == pytest.approx(oracle, abs=5e-8)
-
-    def test_poisson_samples_match_series(self):
-        for a2 in (2.0, 4.0, 13 / 3):
-            sam = beta_star_integer_samples(a2, 8)
-            spec = FractionalSpline(alpha=a2, variant="symmetric", trunc_terms=8000)
-            for m in range(-3, 4):
-                assert sam[8 + m] == pytest.approx(
-                    frac_bspline(spec, float(m)), abs=5e-8
-                )
+            assert sam[2 + m] == pytest.approx(oracle, abs=5e-8)
 
     @pytest.mark.parametrize("a2", [2.0, 11 / 3, 29 / 3])
     def test_poisson_samples_match_fourier_integral(self, a2):
@@ -285,20 +232,6 @@ class TestSymmetricFractional:
         assert sam[::-1] == pytest.approx(sam, abs=1e-15)
         # -2046..2046 holds all but three of the 4096 FFT coefficients
         assert beta_star_integer_samples(a2, 2046).sum() == pytest.approx(1.0, abs=1e-13)
-
-    def test_truncation_error_raised(self):
-        spec = FractionalSpline(
-            alpha=13 / 3, variant="symmetric", trunc_terms=60, tail_tol=1e-12
-        )
-        with pytest.raises(TruncationError):
-            frac_bspline(spec, 0.5)
-
-    def test_single_term_rejected(self):
-        # the tail model fits the last two terms, so K = 1 has no tail estimate
-        with pytest.raises(ValueError, match="trunc_terms must be >= 2"):
-            FractionalSpline(1.5, "symmetric", trunc_terms=1)
-        with pytest.raises(TruncationError):
-            frac_bspline(FractionalSpline(1.5, "symmetric", trunc_terms=2), 0.3)
 
 
 class TestDerivative:
@@ -356,18 +289,18 @@ class TestDerivative:
 class TestDecayEnvelope:
     def test_compact_support_trivial(self):
         spec = FractionalSpline(alpha=1.0)
-        constants = (0.0, 1.0)
         for x in (3.0, 10.0):
-            assert decay_envelope_residual(spec, x, constants) <= 0.0
+            assert abs(frac_bspline(spec, x)) * (1.0 + x**3) <= 1.0
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_envelope_holds_on_fine_grid(self, alpha):
+        # |beta_+^a(x)| (1 + x^(a+2)) stays bounded in the tail; its sup on
+        # the 1/20 grid is 0.267 (a = 1/2) and 0.151 (a = 3/2), both near x = 3
+        bound = {0.5: 0.28, 1.5: 0.16}[alpha]
         spec = FractionalSpline(alpha=alpha)
-        coarse = np.linspace(3.0, 30.0, 136)
-        constants = fit_decay_envelope(spec, coarse)
         fine = np.linspace(3.0, 30.0, 541)
-        residuals = [decay_envelope_residual(spec, x, constants) for x in fine]
-        assert max(residuals) <= 1e-9
+        env = np.abs(frac_bspline(spec, fine)) * (1.0 + fine ** (alpha + 2.0))
+        assert env.max() <= bound
 
     def test_scaled_magnitude_bounded(self):
         spec = FractionalSpline(alpha=0.5)
@@ -379,19 +312,12 @@ class TestPartitionOfUnity:
     def test_natural_exact(self):
         spec = FractionalSpline(alpha=2.0)
         for x in (0.37, -1.2, 2.0):
-            assert partition_of_unity_residual(spec, x, 5) < 1e-12
+            total = frac_bspline(spec, x - np.arange(-5, 6)).sum()
+            assert abs(total - 1.0) < 1e-12
 
     def test_fractional_levels(self):
         # translates of Gamma(a+1) beta_+^a resolve unity up to the series tail
-        assert (
-            partition_of_unity_residual(
-                FractionalSpline(alpha=0.5), 0.3, 200
-            )
-            <= 1e-3
-        )
-        assert (
-            partition_of_unity_residual(
-                FractionalSpline(alpha=1.5), 0.8, 200
-            )
-            <= 1e-4
-        )
+        for alpha, x, tol in ((0.5, 0.3, 1e-3), (1.5, 0.8, 1e-4)):
+            spec = FractionalSpline(alpha=alpha)
+            total = frac_bspline(spec, x - np.arange(-200, 201)).sum()
+            assert abs(total - 1.0) <= tol
