@@ -44,10 +44,6 @@ class BLSystem:
     shift_s: int = 0
 
     @property
-    def Lambda_prime(self) -> float:
-        return float(np.prod([1.0 + r for r in self.roots]))
-
-    @property
     def Lambda_dprime(self) -> float:
         return float(np.prod([(1.0 + r) * (1.0 - r * r) for r in self.roots]))
 

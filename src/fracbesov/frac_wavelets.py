@@ -12,7 +12,10 @@ the filter, so psi and Psi are each one splines.beta_plus_filtered pass.
 Molecule checking certifies the decay / moment / Hoelder conditions on a
 grid, evaluating each derivative of the molecule once per grid by central
 differences; the calibration of c0 and c reads only the envelope
-conditions (M2)-(M4) and skips the moment quadrature of (M1).
+conditions (M2)-(M4) and skips the moment quadrature of (M1).  A
+WaveletSystem is the pair (scale_fn, wavelet_fn) of the natural
+Battle-Lemarie system, divided by Lambda' and Lambda'', or of the
+fractional one, scaled by c0 and c.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,7 +75,8 @@ def _psi_translates(alpha, variant, x, up, trunc, tail_tol):
     sum_k q_{-k} beta_+(-2x - k - 2t), so the sum is one beta_plus_filtered
     pass on the input's own points with the taps q * up[::-1] from
     k0 = -trunc - (len(up) - 1) (causal) or q[::-1] * up from -trunc.  The
-    tail estimate covers the translated points [min x, max x + 2 t_max].
+    tail estimate covers the translated finite points [min x, max x +
+    2 t_max]; without finite points there is none, and non-finite x give NaN.
     """
     if alpha <= 0 or _is_nat(alpha):
         raise ValueError("psi_frac requires non-integer alpha > 0")
@@ -80,26 +85,26 @@ def _psi_translates(alpha, variant, x, up, trunc, tail_tol):
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     q = wavelet_filter(alpha, trunc)
-    lo, hi = float(xs.min()), float(xs.max()) + (up.size - 1) / 2.0
-    # causal support kills k > 2x; anticausal kills k < 2x
     if variant == "causal":
-        margin = 2.0 * lo + trunc
-        live_edge = abs(q[0])
-        natural_cut = trunc >= 2.0 * hi
         u, taps, k0 = 2.0 * xs, np.convolve(q, up[::-1]), -trunc - (up.size - 1)
     else:
-        margin = trunc - 2.0 * hi
-        live_edge = abs(q[-1])
-        natural_cut = -trunc <= 2.0 * lo
         u, taps, k0 = -2.0 * xs, np.convolve(q[::-1], up), -trunc
-    est = live_edge * (min(1.0, margin ** -(alpha + 1.0)) if margin > 1.0 else trunc)
-    if not natural_cut:
-        est += trunc * max(abs(q[0]), abs(q[-1]))
-    if est > tail_tol:
-        raise TruncationError(
-            f"psi tail estimate {est:.2e} exceeds {tail_tol:.0e} at trunc={trunc}; "
-            "increase trunc or shrink the evaluation window"
-        )
+    finite = xs[np.isfinite(xs)]
+    if finite.size:
+        lo, hi = float(finite.min()), float(finite.max()) + (up.size - 1) / 2.0
+        # causal support kills k > 2x; anticausal kills k < 2x
+        if variant == "causal":
+            margin, live_edge, natural_cut = 2.0 * lo + trunc, abs(q[0]), trunc >= 2.0 * hi
+        else:
+            margin, live_edge, natural_cut = trunc - 2.0 * hi, abs(q[-1]), -trunc <= 2.0 * lo
+        est = live_edge * (min(1.0, margin ** -(alpha + 1.0)) if margin > 1.0 else trunc)
+        if not natural_cut:
+            est += trunc * max(abs(q[0]), abs(q[-1]))
+        if est > tail_tol:
+            raise TruncationError(
+                f"psi tail estimate {est:.2e} exceeds {tail_tol:.0e} at trunc={trunc}; "
+                "increase trunc or shrink the evaluation window"
+            )
     out = beta_plus_filtered(alpha, u, taps, k0)
     return float(out[0]) if scalar else out
 
@@ -354,62 +359,29 @@ def molecule_check(
 
 
 # ---------------------------------------------------------------------------
-# unified wavelet systems
+# wavelet systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WaveletSystem:
-    """Scaling/wavelet pair normalized for sequence-space decompositions.
+class WaveletSystem(NamedTuple):
+    """A scaling function and a wavelet of x (scalar or array), their data
+    bound once by natural_system or fractional_system."""
 
-    Natural systems divide the localized pair by Lambda' / Lambda''; the
-    fractional pair is scaled by calibrated constants c0, c in (0, 1].
+    scale_fn: Callable
+    wavelet_fn: Callable
+
+
+def natural_system(n: int) -> WaveletSystem:
+    """The localized Battle-Lemarie pair of order n over Lambda' and Lambda''.
+
+    scale_fn = scaling_localized / Lambda', with Lambda' = prod_j (1 + r_j)
+    stored as bl_system's beta_n, and wavelet_fn = wavelet_localized /
+    Lambda'' (k = s = 0, sign +).
     """
-
-    kind: str  # "natural-BL" | "fractional"
-    order: float
-    variant: str
-    shift_k: int
-    shift_s: int
-    comb_n: int
-    c0: float
-    c: float
-    trunc: int = 80
-    psi_sign: float = 1.0
-
-    def scale_fn(self, x):
-        if self.kind == "natural-BL":
-            sys = bl_system(int(self.order), self.shift_k, self.shift_s)
-            return scaling_localized(sys, x) / sys.Lambda_prime
-        spec = FractionalSpline(
-            alpha=self.order, variant=self.variant, shift_k=self.shift_k
-        )
-        return self.c0 * frac_bspline(spec, x)
-
-    def wavelet_fn(self, x):
-        if self.kind == "natural-BL":
-            sys = bl_system(int(self.order), self.shift_k, self.shift_s)
-            return wavelet_localized(sys, x, sign=self.psi_sign) / sys.Lambda_dprime
-        xs = np.asarray(x, dtype=float) - self.shift_s
-        return self.c * Psi_combined(
-            self.order,
-            self.comb_n,
-            self.variant,
-            xs,
-            trunc=self.trunc,
-            sign=self.psi_sign,
-        )
-
-
-def natural_system(n: int, shift_k: int = 0, shift_s: int = 0) -> WaveletSystem:
+    sys = bl_system(n)
+    lam2 = sys.Lambda_dprime
     return WaveletSystem(
-        kind="natural-BL",
-        order=float(n),
-        variant="causal",
-        shift_k=shift_k,
-        shift_s=shift_s,
-        comb_n=n,
-        c0=1.0,
-        c=1.0,
+        lambda x: scaling_localized(sys, x) / sys.beta_n,
+        lambda x: wavelet_localized(sys, x) / lam2,
     )
 
 
@@ -417,24 +389,20 @@ def fractional_system(
     alpha: float,
     variant: str,
     comb_n: int,
-    shift_k: int = 0,
-    shift_s: int = 0,
     c0: float = 1.0,
     c: float = 1.0,
     trunc: int = 80,
-    psi_sign: float = 1.0,
 ) -> WaveletSystem:
+    """The one-sided fractional pair of order alpha scaled by c0, c in (0, 1].
+
+    scale_fn = c0 beta^alpha and wavelet_fn = c Psi_combined of order
+    comb_n with psi truncated at |k| <= trunc; calibrate_constants finds
+    the largest c0, c that make the pair molecules.
+    """
+    spec = FractionalSpline(alpha, variant)
     return WaveletSystem(
-        kind="fractional",
-        order=alpha,
-        variant=variant,
-        shift_k=shift_k,
-        shift_s=shift_s,
-        comb_n=comb_n,
-        c0=c0,
-        c=c,
-        trunc=trunc,
-        psi_sign=psi_sign,
+        lambda x: c0 * frac_bspline(spec, x),
+        lambda x: c * Psi_combined(alpha, comb_n, variant, x, trunc=trunc),
     )
 
 

@@ -124,7 +124,8 @@ def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     flat = u.ravel()
     m = np.floor(flat)
-    f = flat - m
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, marked below
+        f = flat - m
     # column j + 1 holds sum_p P[d, p] c[j - p] (windows of n + 1 taps of c
     # padded by n + 1 zeros on each side, reversed against the pieces), and
     # column width + j + 1 holds sum_p P[d, n - p] c[j - p]
@@ -262,22 +263,22 @@ def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray:
     - k0, the rows are convolved with h, and each point reads column m - k0
     of its offset's row (exactly 0 where m - k0 < 0).  Offsets are taken in
     chunks so that the table and its convolution hold at most _BLOCK
-    elements each.  The output has the shape of u.
+    elements each.  The output has the shape of u; non-finite u give NaN.
     """
     if _is_nat(alpha):
         return bspline_filtered(int(alpha), u, h, k0)
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
     flat = u.ravel()
-    m = np.floor(flat)
-    f = flat - m
-    col = m.astype(np.intp) - k0
-    out = np.zeros_like(flat)
-    live = np.flatnonzero(col >= 0)
+    finite = np.isfinite(flat)
+    out = np.where(finite, 0.0, np.nan)
+    # floor(u) >= k0 exactly when u >= k0; NaN and +-inf are never live
+    live = np.flatnonzero(finite & (flat >= k0))
     if live.size == 0:
         return out.reshape(u.shape)
-    offsets, row = np.unique(f[live], return_inverse=True)
-    col = col[live]
+    m = np.floor(flat[live])
+    offsets, row = np.unique(flat[live] - m, return_inverse=True)
+    col = m.astype(np.intp) - k0
     mmax, n0 = int(col.max()), int(col.min())
     rows = max(1, _BLOCK // (mmax + 1))
     for r0 in range(0, offsets.size, rows):

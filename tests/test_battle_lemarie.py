@@ -91,7 +91,7 @@ class TestLambda:
     def test_positivity_constants(self):
         for n in range(1, 7):
             sys = bl_system(n)
-            assert sys.Lambda_prime > 0
+            assert sys.beta_n > 0
             assert sys.Lambda_dprime > 0
 
 

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fracbesov.battle_lemarie import bl_system
+from fracbesov.battle_lemarie import bl_system, scaling_localized, wavelet_localized
 from fracbesov.frac_wavelets import (
     InfeasibleOrderError,
     MoleculeParams,
     Psi_combined,
+    WaveletSystem,
     calibrate_constants,
     fractional_system,
     molecule_check,
@@ -176,6 +177,24 @@ class TestPsi:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             psi_frac(0.5, "causal", -60.0, trunc=40)
+
+    @pytest.mark.parametrize("variant", ["causal", "anticausal"])
+    def test_non_finite_gives_nan(self, variant):
+        # the tail estimate reads the finite points only, so a NaN beside
+        # a point that passes trips nothing; the finite points equal the
+        # finite-only call bit for bit
+        xs = np.array([0.3, np.nan, -1.2, np.inf, 2.6, -np.inf])
+        ok = np.isfinite(xs)
+        for fn in (
+            lambda x: psi_frac(1.5, variant, x),
+            lambda x: Psi_combined(1.5, 2, variant, x),
+        ):
+            assert math.isnan(fn(np.nan))
+            got = fn(xs)
+            assert np.all(np.isnan(got[~ok]))
+            assert np.array_equal(got[ok], fn(xs[ok]))
+        got = psi_frac(1.5, "causal", [0.3, np.nan])
+        assert got[0] == psi_frac(1.5, "causal", 0.3) and math.isnan(got[1])
 
     def test_rejects_natural_alpha(self):
         with pytest.raises(ValueError):
@@ -437,10 +456,9 @@ class TestMoleculeCheck:
 
 
 class TestShapes:
-    def test_two_dimensional_input(self):
-        # every evaluator returns the input's shape, equal to the flat call
-        x = np.array([[0.3, 1.7], [-0.4, 2.25]])
-        fns = [
+    @staticmethod
+    def _evaluators():
+        return [
             lambda x: frac_bspline(FractionalSpline(alpha=5 / 3), x),
             lambda x: frac_bspline(FractionalSpline(alpha=5 / 3, variant="anticausal"), x),
             lambda x: frac_bspline_derivative(FractionalSpline(alpha=5 / 3), 1, x),
@@ -454,10 +472,20 @@ class TestShapes:
             lambda x: bspline_natural(3, x),
             natural_system(2).wavelet_fn,
         ]
-        for fn in fns:
+
+    def test_two_dimensional_input(self):
+        # every evaluator returns the input's shape, equal to the flat call
+        x = np.array([[0.3, 1.7], [-0.4, 2.25]])
+        for fn in self._evaluators():
             got = fn(x)
             assert got.shape == x.shape
             assert np.array_equal(got, fn(x.ravel()).reshape(x.shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_input(self, shape):
+        x = np.empty(shape)
+        for fn in self._evaluators():
+            assert fn(x).shape == shape
 
 
 class TestWaveletSystem:
@@ -465,7 +493,42 @@ class TestWaveletSystem:
         nat = natural_system(1)
         sys = bl_system(1)
         x = np.array([0.5, 1.2])
-        # scale_fn * Lambda' is the localized beta_n B_1, B_1 the hat on [0, 2]
-        assert nat.scale_fn(x) * sys.Lambda_prime == pytest.approx(
+        # scale_fn * Lambda' is the localized beta_n B_1, B_1 the hat on
+        # [0, 2]; Lambda' = prod_j (1 + r_j) is beta_n
+        assert nat.scale_fn(x) * sys.beta_n == pytest.approx(
             sys.beta_n * np.array([0.5, 0.8])
         )
+
+    def test_fields(self):
+        assert WaveletSystem._fields == ("scale_fn", "wavelet_fn")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_natural_pair(self, n):
+        # the localized pair over Lambda' = beta_n and Lambda'', bit for bit
+        nat = natural_system(n)
+        sys = bl_system(n)
+        for x in (0.7, np.linspace(-5.0, 6.0, 23), np.array([[0.3, 1.7], [-0.4, 2.25]])):
+            assert np.array_equal(nat.scale_fn(x), scaling_localized(sys, x) / sys.beta_n)
+            assert np.array_equal(
+                nat.wavelet_fn(x), wavelet_localized(sys, x) / sys.Lambda_dprime
+            )
+
+    @pytest.mark.parametrize("variant", ["causal", "anticausal"])
+    def test_fractional_pair(self, variant):
+        # c0 beta^alpha and c Psi with the system's trunc, bit for bit
+        c0, c = 0.5, 0.25
+        sysf = fractional_system(5 / 3, variant, 2, c0=c0, c=c, trunc=60)
+        spec = FractionalSpline(5 / 3, variant)
+        for x in (0.7, np.linspace(-6.0, 7.0, 27), np.array([[0.3, 1.7], [-0.4, 2.25]])):
+            assert np.array_equal(sysf.scale_fn(x), c0 * frac_bspline(spec, x))
+            assert np.array_equal(
+                sysf.wavelet_fn(x), c * Psi_combined(5 / 3, 2, variant, x, trunc=60)
+            )
+
+    @pytest.mark.parametrize("variant", ["causal", "anticausal"])
+    def test_trunc_forwarded(self, variant):
+        # x = -12 lies in the tail that psi's estimate rejects at trunc = 20
+        # but not at the default 80
+        with pytest.raises(TruncationError):
+            fractional_system(5 / 3, variant, 2, trunc=20).wavelet_fn(-12.0)
+        assert math.isfinite(fractional_system(5 / 3, variant, 2).wavelet_fn(-12.0))

@@ -286,6 +286,29 @@ class TestDerivative:
             )
 
 
+class TestNonFinite:
+    # the natural order 2 takes the exact B_n path, the others the series
+    @pytest.mark.parametrize("variant", ["causal", "anticausal"])
+    @pytest.mark.parametrize("alpha", [0.5, 5 / 3, 2.0, 13 / 3])
+    def test_non_finite_gives_nan(self, alpha, variant):
+        # every non-finite point gives NaN, and the finite points equal the
+        # finite-only call bit for bit
+        spec = FractionalSpline(alpha=alpha, variant=variant)
+        fns = [lambda x: frac_bspline(spec, x)] + [
+            lambda x, g=g: frac_bspline_derivative(spec, g, x)
+            for g in range(1, math.ceil(alpha + 0.5))
+        ]
+        finite = np.array([-1.5, 0.25, 0.7, 2.5, 3.9])
+        mixed = np.array([np.nan, -1.5, np.inf, 0.25, 0.7, -np.inf, 2.5, 3.9, np.nan])
+        bad = ~np.isfinite(mixed)
+        for fn in fns:
+            for v in (np.nan, np.inf, -np.inf):
+                assert math.isnan(fn(v))
+            got = fn(mixed)
+            assert np.all(np.isnan(got[bad]))
+            assert np.array_equal(got[~bad], fn(finite))
+
+
 class TestDecayEnvelope:
     def test_compact_support_trivial(self):
         spec = FractionalSpline(alpha=1.0)
