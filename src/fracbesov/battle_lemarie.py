@@ -4,12 +4,12 @@ The construction goes through the autocorrelation symbol
 P_n(w) = sum_j B_{2n+1}(n+1+j) e^{ijw}, whose negative reciprocal root pairs
 {-r_j, -1/r_j} define the orthonormalization factor A_n(w) =
 prod_j (1 + e^{iw} r_j) with beta_n^2 P_n(w) = |A_n(w)|^2.  The localized
-scaling function is beta_n B_n(. - k).  The localized wavelet is a finite
+scaling function is beta_n B_n.  The localized wavelet is a finite
 cosine-weighted combination of translates of D = B_{2n+1}^(n+1) =
 Delta^(n+1) B_n, so it is itself a spline of order n on the integers of
-u = 2(x - s) + n: one splines.bspline_filtered pass with a 3n+2 tap filter,
+u = 2x + n: one splines.bspline_filtered pass with a 3n+2 tap filter,
 which folds the taps into the pp-form coefficients of its 4n+2 intervals
-once per call and takes n Horner steps per point.
+once per call and takes n Horner steps per point.  Translates take x - k.
 """
 
 from __future__ import annotations
@@ -40,16 +40,10 @@ class BLSystem:
     roots: tuple[float, ...]
     beta_n: float
     lam: tuple[float, ...]
-    shift_k: int = 0
-    shift_s: int = 0
 
     @property
     def Lambda_dprime(self) -> float:
         return float(np.prod([(1.0 + r) * (1.0 - r * r) for r in self.roots]))
-
-    @property
-    def root_product(self) -> float:
-        return float(np.prod(self.roots))
 
 
 def autocorrelation_symbol(n: int, omega) -> np.ndarray:
@@ -130,19 +124,11 @@ def lambda_coeffs(roots) -> list[float]:
 
 
 @lru_cache(maxsize=64)
-def bl_system(n: int, shift_k: int = 0, shift_s: int = 0) -> BLSystem:
-    """The frozen Battle-Lemarie data of order n, built once per argument set."""
+def bl_system(n: int) -> BLSystem:
+    """The frozen Battle-Lemarie data of order n, built once per order."""
     roots = euler_frobenius_roots(n)
     beta_n = float(np.prod([1.0 + r for r in roots]))
-    lam = lambda_coeffs(roots)
-    return BLSystem(
-        n=n,
-        roots=tuple(roots),
-        beta_n=beta_n,
-        lam=tuple(lam),
-        shift_k=shift_k,
-        shift_s=shift_s,
-    )
+    return BLSystem(n=n, roots=tuple(roots), beta_n=beta_n, lam=tuple(lambda_coeffs(roots)))
 
 
 def orthonormalizer(sys: BLSystem, omega) -> np.ndarray:
@@ -162,18 +148,13 @@ def factorization_residual(sys: BLSystem, n_grid: int = 1024) -> float:
 
 
 def scaling_localized(sys: BLSystem, x):
-    """Phi_{n,k}(x) = beta_n B_n(x - k), supported on [k, k+n+1]."""
-    return sys.beta_n * bspline_natural(sys.n, np.asarray(x, dtype=float) - sys.shift_k)
+    """Phi_n(x) = beta_n B_n(x) on [0, n+1]; the translate Phi_{n,k} is Phi_n(x - k)."""
+    return sys.beta_n * bspline_natural(sys.n, x)
 
 
 def wavelet_gamma(sys: BLSystem) -> float:
-    """gamma_{n,k} = [r_1 ... r_n] beta_n 2^{-n} (-1)^{n+1+k}."""
-    return (
-        sys.root_product
-        * sys.beta_n
-        * 2.0**-sys.n
-        * (-1.0) ** ((sys.n + 1 + sys.shift_k) % 2)
-    )
+    """gamma_n = [r_1 ... r_n] beta_n 2^{-n} (-1)^{n+1}."""
+    return float(np.prod(sys.roots)) * sys.beta_n * 2.0**-sys.n * (-1.0) ** ((sys.n + 1) % 2)
 
 
 def translate_weights(sys: BLSystem, sign: float) -> np.ndarray:
@@ -207,27 +188,21 @@ def _wavelet_taps(sys: BLSystem, sign: float) -> np.ndarray:
 
 
 def wavelet_localized(sys: BLSystem, x, sign: float = 1.0):
-    """Psi_{n,k,s}, the localized Battle-Lemarie wavelet.
+    """Psi_n, the localized Battle-Lemarie wavelet.
 
     Psi(x) = gamma/2^n * sum_j lambda_j/(2 (-1)^j)
-             [D(u+j) + sign * D(u-j)],  D = B_{2n+1}^{(n+1)},  u = 2(x-s)+n.
+             [D(u+j) + sign * D(u-j)],  D = B_{2n+1}^{(n+1)},  u = 2x+n.
 
     Every translate of D is a difference of B_n, so Psi is the order-n
     spline gamma/2^n sum_k d_k B_n(u - k) with the 3n+2 taps of
     _wavelet_taps on k = -n..2n+1, evaluated exactly in one bspline_filtered
-    pass.  The formula's support is [s-n, s+n+1].
+    pass.  The formula's support is [-n, n+1]; the translate
+    Psi_{n,k,s}(x) is (-1)^k Psi_n(x - s).
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    u = 2.0 * (np.asarray(x, dtype=float) - sys.shift_s) + sys.n
-    out = wavelet_gamma(sys) / 2.0**sys.n * bspline_filtered(
+    u = 2.0 * np.asarray(x, dtype=float) + sys.n
+    return wavelet_gamma(sys) / 2.0**sys.n * bspline_filtered(
         sys.n, u, _wavelet_taps(sys, sign), -sys.n
     )
-    return float(out) if scalar else out
-
-
-def wavelet_support(sys: BLSystem) -> tuple[float, float]:
-    """Support interval implied by the assembled formula: [s-n, s+n+1]."""
-    return (sys.shift_s - sys.n, sys.shift_s + sys.n + 1.0)
 
 
 def _bhat_sq(omega: np.ndarray, n: int) -> np.ndarray:
@@ -242,7 +217,7 @@ def _bhat_sq(omega: np.ndarray, n: int) -> np.ndarray:
 def orthonormality_residual(sys: BLSystem, omega: float, M: int = 64) -> float:
     """|sum_{|m| <= M} |phi_hat(w + 2 pi m)|^2 - 1|.
 
-    phi_hat = beta_n B_hat_{n,k} / A_n; both A_n and |sin(w/2)| are
+    phi_hat = beta_n B_hat_n / A_n; both A_n and |sin(w/2)| are
     2 pi periodic, so the shifted terms differ only in the 1/|w + 2 pi m|
     factors.
     """

@@ -55,7 +55,7 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     psi moved by one integer.  The l-sum stops at l = kmax + 48: taking it
     to kmax + 1000 moves q by at most 4.9e-15 max|q| (measured at alpha =
     1/2, kmax = 60; below 2e-16 for alpha >= 4/3), since binom(alpha+1, l)
-    and the samples both decay algebraically.
+    and the samples both decay algebraically.  Returned read-only.
     """
     ltrunc = kmax + 48
     sam = beta_star_integer_samples(2.0 * alpha + 1.0, kmax + ltrunc + 2)
@@ -65,6 +65,7 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     q = sam[mid + ks[:, None] - 1 + np.arange(ltrunc + 1)] @ binom
     q *= 2.0**-alpha
     q[(ks % 2) != 0] *= -1.0
+    q.flags.writeable = False
     return q
 
 
@@ -82,8 +83,7 @@ def _psi_translates(alpha, variant, x, up, trunc, tail_tol):
         raise ValueError("psi_frac requires non-integer alpha > 0")
     if variant not in ("causal", "anticausal"):
         raise ValueError(f"variant must be one-sided, got {variant!r}")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
     q = wavelet_filter(alpha, trunc)
     if variant == "causal":
         u, taps, k0 = 2.0 * xs, np.convolve(q, up[::-1]), -trunc - (up.size - 1)
@@ -105,8 +105,7 @@ def _psi_translates(alpha, variant, x, up, trunc, tail_tol):
                 f"psi tail estimate {est:.2e} exceeds {tail_tol:.0e} at trunc={trunc}; "
                 "increase trunc or shrink the evaluation window"
             )
-    out = beta_plus_filtered(alpha, u, taps, k0)
-    return float(out[0]) if scalar else out
+    return beta_plus_filtered(alpha, u, taps, k0)
 
 
 def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1e-6):
@@ -227,9 +226,7 @@ def molecule_params_for(
         J = r_w / p + 1.0 / pprime
     N = max(math.floor(J - s - 1.0), -1)
     frac_s = s - math.floor(s)
-    delta = min(1.0, (frac_s + 1.0) / 2.0)
-    if delta <= frac_s:
-        delta = (frac_s + 1.0) / 2.0
+    delta = (frac_s + 1.0) / 2.0
     bound = alpha + 1.0 - math.floor(s) if s >= -1.0 else alpha + 2.0 + s
     if bound <= J:
         raise InfeasibleOrderError(
@@ -286,7 +283,7 @@ def molecule_check(
     "value" and "ratio"; report-only: ratios > 1 mean the condition fails.
     """
     nu, tau = Q
-    x_q = tau / 2.0**nu if nu > 0 else float(tau)
+    x_q = tau / 2.0**nu
     scale = 2.0**nu
     s, M, N, delta = params.s, params.M, params.N, params.delta
     s_floor = math.floor(s)
@@ -320,9 +317,7 @@ def molecule_check(
 
     # (M2): size envelope
     expo = max(M, M - s) if nu >= 1 else M
-    env2 = (2.0 ** (nu / 2.0)) * (1.0 + scale * dist) ** (-expo) if nu >= 1 else (
-        1.0 + dist
-    ) ** (-M)
+    env2 = (2.0 ** (nu / 2.0)) * (1.0 + scale * dist) ** (-expo)
     v = np.abs(table[0])
     report.conditions["M2" + star] = {
         "value": float(np.max(v)),
@@ -375,7 +370,7 @@ def natural_system(n: int) -> WaveletSystem:
 
     scale_fn = scaling_localized / Lambda', with Lambda' = prod_j (1 + r_j)
     stored as bl_system's beta_n, and wavelet_fn = wavelet_localized /
-    Lambda'' (k = s = 0, sign +).
+    Lambda'' (sign +).
     """
     sys = bl_system(n)
     lam2 = sys.Lambda_dprime

@@ -18,6 +18,7 @@ import numpy as np
 @lru_cache(maxsize=32)
 def _gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(npts)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 

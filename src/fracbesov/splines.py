@@ -66,15 +66,15 @@ def _is_nat(a: float) -> bool:
 def _bspline_pieces_exact(n: int) -> list[list[Fraction]]:
     """P[d][p] with B_n(f + p) = sum_d P[d][p] f^d on 0 <= f < 1, p = 0..n.
 
-    The Cox-de Boor recursion B_k(f + p) = ((f + p) B_{k-1}(f + p)
-    + (k + 1 - p - f) B_{k-1}(f + p - 1)) / k on the coefficient lists of
-    the pieces, in exact rationals, from B_0 = [1] on p = 0.
+    The Cox-de Boor recursion k! B_k(f + p) = (f + p) (k-1)! B_{k-1}(f + p)
+    + (k + 1 - p - f) (k-1)! B_{k-1}(f + p - 1) on the integer coefficient
+    lists of the pieces, from 0! B_0 = [1] on p = 0, divided by n! at the end.
     """
-    P = [[Fraction(1)]]  # P[p][d] at level k, pieces p = 0..k
+    P = [[1]]  # P[p][d] of k! B_k at level k, pieces p = 0..k
     for k in range(1, n + 1):
         nxt = []
         for p in range(k + 1):
-            acc = [Fraction(0)] * (k + 1)
+            acc = [0] * (k + 1)
             if p < k:  # (f + p) B_{k-1}(f + p)
                 for d, a in enumerate(P[p]):
                     acc[d] += p * a
@@ -83,9 +83,10 @@ def _bspline_pieces_exact(n: int) -> list[list[Fraction]]:
                 for d, a in enumerate(P[p - 1]):
                     acc[d] += (k + 1 - p) * a
                     acc[d + 1] -= a
-            nxt.append([a / k for a in acc])
+            nxt.append(acc)
         P = nxt
-    return [[P[p][d] for p in range(n + 1)] for d in range(n + 1)]
+    nf = math.factorial(n)
+    return [[Fraction(P[p][d], nf) for p in range(n + 1)] for d in range(n + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +97,13 @@ def _bspline_pieces(n: int) -> np.ndarray:
     return P
 
 
-def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray:
+def _shaped(out: np.ndarray, u: np.ndarray) -> np.ndarray | float:
+    """The flat values out in the shape of u; a Python float for 0-d u."""
+    out = out.reshape(u.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray | float:
     """sum_i c[i] B_n(u - k0 - i) at every point of u.
 
     This is the natural-order spline with coefficients c on the integers
@@ -116,7 +123,7 @@ def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray:
     per interval j = -1..len(c) + n for each form (the edge columns are 0),
     2 (n + 1)^2 (len(c) + n + 2) multiply-adds; per point one column is
     read and n Horner steps are taken, whatever the length of c.
-    Non-finite u give NaN.
+    Non-finite u give NaN; a 0-d u gives a Python float.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -144,7 +151,7 @@ def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray:
         out *= v
         out += table[d][col]
     out[np.isnan(f)] = np.nan
-    return out.reshape(u.shape)
+    return _shaped(out, u)
 
 
 def bspline_natural(n: int, x):
@@ -152,22 +159,14 @@ def bspline_natural(n: int, x):
 
     The single-coefficient case of bspline_filtered.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = bspline_filtered(n, x, np.ones(1), 0)
-    return float(out) if scalar else out
+    return bspline_filtered(n, x, np.ones(1), 0)
 
 
 @lru_cache(maxsize=64)
 def bspline_integer_samples(n: int) -> tuple[Fraction, ...]:
-    """Exact rational values (B_n(0), ..., B_n(n+1)) from the recursion.
-
-    B_m(j) = (j B_{m-1}(j) + (m+1-j) B_{m-1}(j-1)) / m, taken level by
-    level on the integers 0..n+1 from B_0(j) = [j = 0].
-    """
-    b = [Fraction(1)] + [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        b = [(j * b[j] + (m + 1 - j) * (b[j - 1] if j else 0)) / m for j in range(n + 2)]
-    return tuple(b)
+    """Exact rational values (B_n(0), ..., B_n(n+1)): the constant terms of
+    the pieces p = 0..n of _bspline_pieces_exact, then B_n(n+1) = 0."""
+    return (*_bspline_pieces_exact(n)[0], Fraction(0))
 
 
 def bspline_derivative(n: int, order: int, x):
@@ -179,10 +178,8 @@ def bspline_derivative(n: int, order: int, x):
     """
     if order < 0 or order > n - 1:
         raise ValueError(f"derivative order {order} not in [0, {n - 1}] for B_{n}")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
     row = [(-1.0) ** i * math.comb(order, i) for i in range(order + 1)]
-    out = bspline_filtered(n - order, x, row, 0)
-    return float(out) if scalar else out
+    return bspline_filtered(n - order, x, row, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +248,7 @@ def beta_plus_table(alpha: float, f: np.ndarray, mmax: int) -> np.ndarray:
     return _toeplitz_product(G, coeffs, 0, mmax + 1)
 
 
-def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray:
+def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray | float:
     """sum_i h[i] beta_+^alpha(u - k0 - i) at every point of u.
 
     The one-sided spline with coefficients h on the integers k0, k0 + 1,
@@ -263,7 +260,8 @@ def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray:
     - k0, the rows are convolved with h, and each point reads column m - k0
     of its offset's row (exactly 0 where m - k0 < 0).  Offsets are taken in
     chunks so that the table and its convolution hold at most _BLOCK
-    elements each.  The output has the shape of u; non-finite u give NaN.
+    elements each.  The output has the shape of u (a Python float for 0-d
+    u); non-finite u give NaN.
     """
     if _is_nat(alpha):
         return bspline_filtered(int(alpha), u, h, k0)
@@ -275,7 +273,7 @@ def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray:
     # floor(u) >= k0 exactly when u >= k0; NaN and +-inf are never live
     live = np.flatnonzero(finite & (flat >= k0))
     if live.size == 0:
-        return out.reshape(u.shape)
+        return _shaped(out, u)
     m = np.floor(flat[live])
     offsets, row = np.unique(flat[live] - m, return_inverse=True)
     col = m.astype(np.intp) - k0
@@ -286,7 +284,7 @@ def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray:
         C = _toeplitz_product(T, h, n0, mmax + 1)
         sel = (row >= r0) & (row < r0 + rows)
         out[live[sel]] = C[row[sel] - r0, col[sel] - n0]
-    return out.reshape(u.shape)
+    return _shaped(out, u)
 
 
 @lru_cache(maxsize=32)
@@ -313,18 +311,17 @@ def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     F[0] = 1.0
     F[1:] = (np.sin(np.pi * t) / np.pi) ** s * (z + z[::-1])
     coeffs = np.fft.ifft(F).real
-    idx = np.arange(-mmax, mmax + 1) % N
-    return coeffs[idx]
+    sam = coeffs[np.arange(-mmax, mmax + 1) % N]
+    sam.flags.writeable = False
+    return sam
 
 
 def frac_bspline(spec: FractionalSpline, x):
     """Evaluate beta^alpha at x (scalar or array) for the given variant."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    y = np.atleast_1d(np.asarray(x, dtype=float)) - spec.shift_k
+    y = np.asarray(x, dtype=float) - spec.shift_k
     if spec.variant == "anticausal":
         y = -y
-    out = beta_plus_filtered(spec.alpha, y, np.ones(1), 0)
-    return float(out[0]) if scalar else out
+    return beta_plus_filtered(spec.alpha, y, np.ones(1), 0)
 
 
 def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
@@ -340,12 +337,9 @@ def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
         raise ValueError(
             f"order alpha-gamma = {spec.alpha - gamma} out of range (need > -1/2)"
         )
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    y = np.atleast_1d(np.asarray(x, dtype=float)) - spec.shift_k
+    y = np.asarray(x, dtype=float) - spec.shift_k
     if spec.variant == "anticausal":
         y = -y
     row = [(-1.0) ** j * math.comb(gamma, j) for j in range(gamma + 1)]
     acc = beta_plus_filtered(spec.alpha - gamma, y, row, 0)
-    if spec.variant == "anticausal" and gamma % 2:
-        acc = -acc
-    return float(acc[0]) if scalar else acc
+    return -acc if spec.variant == "anticausal" and gamma % 2 else acc

@@ -17,7 +17,6 @@ from fracbesov.battle_lemarie import (
     scaling_localized,
     wavelet_gamma,
     wavelet_localized,
-    wavelet_support,
 )
 from fracbesov.quadrature import graded_breaks, panel_rule
 
@@ -82,11 +81,11 @@ class TestLambda:
             expansion = np.zeros_like(t)
             for j, l in enumerate(sys.lam):
                 expansion += (-1.0) ** j * l * np.cos(j * t)
-            expansion *= sys.root_product
+            expansion *= np.prod(sys.roots)
             assert np.max(np.abs(direct - expansion)) <= 1e-10
 
     def test_system_is_built_once(self):
-        assert bl_system(3, 0, 1) is bl_system(3, 0, 1)
+        assert bl_system(3) is bl_system(3)
 
     def test_positivity_constants(self):
         for n in range(1, 7):
@@ -101,10 +100,11 @@ class TestScaling:
         assert scaling_localized(sys, 1.0) == pytest.approx(sys.beta_n, rel=1e-14)
 
     def test_support(self):
-        sys = bl_system(2, shift_k=3)
-        assert scaling_localized(sys, 2.9) == 0.0
-        assert scaling_localized(sys, 6.1) == 0.0
-        assert scaling_localized(sys, 4.0) > 0.0
+        # Phi_{2,3}(x) = Phi_2(x - 3) is supported on [3, 6]
+        sys = bl_system(2)
+        assert scaling_localized(sys, 2.9 - 3) == 0.0
+        assert scaling_localized(sys, 6.1 - 3) == 0.0
+        assert scaling_localized(sys, 4.0 - 3) > 0.0
 
     def test_integral_is_beta(self):
         sys = bl_system(2)
@@ -134,8 +134,7 @@ class TestWavelet:
             assert not taps.flags.writeable
 
     def _moments(self, sys, gmax):
-        a, b = wavelet_support(sys)
-        breaks = graded_breaks(a, b, per_unit=4, levels=0)
+        breaks = graded_breaks(-sys.n, sys.n + 1.0, per_unit=4, levels=0)
         nodes, wts = panel_rule(breaks, 24)
         vals = wavelet_localized(sys, nodes)
         return [float(np.dot(wts, nodes**g * vals)) for g in range(gmax + 1)]
@@ -152,28 +151,20 @@ class TestWavelet:
             assert abs(self._moments(sys, n + 1)[-1]) > 1e-6
 
     def test_support_from_formula(self):
-        # the assembled formula is supported on [s-n, s+n+1]; the interval
-        # stated alongside it in the source material, [s-n/2, s+3n/2+1],
-        # is inconsistent with the formula (nonzero on [s-n, s-n/2))
+        # the assembled formula's translate Psi_n(x - s) is supported on
+        # [s-n, s+n+1]; the interval stated alongside it in the source
+        # material, [s-n/2, s+3n/2+1], is inconsistent with the formula
+        # (nonzero on [s-n, s-n/2))
         for n, s in [(1, 0), (2, -6)]:
-            sys = bl_system(n, shift_s=s)
-            a, b = wavelet_support(sys)
-            assert (a, b) == (s - n, s + n + 1)
+            sys = bl_system(n)
+            a, b = s - n, s + n + 1
             xs_out = np.array([a - 0.05, b + 0.05, a - 2.0, b + 2.0])
-            assert np.allclose(wavelet_localized(sys, xs_out), 0.0, atol=1e-15)
-            assert abs(wavelet_localized(sys, a + 0.25 * n)) > 1e-12
+            assert np.allclose(wavelet_localized(sys, xs_out - s), 0.0, atol=1e-15)
+            assert abs(wavelet_localized(sys, a + 0.25 * n - s)) > 1e-12
 
     def test_integral_zero(self):
         for n in (1, 2, 3):
             assert abs(self._moments(bl_system(n), 0)[0]) <= 1e-10
-
-    def test_shift_covariance(self):
-        sys0 = bl_system(1, shift_s=0)
-        sys5 = bl_system(1, shift_s=5)
-        xs = np.linspace(-2, 4, 31)
-        assert np.allclose(
-            wavelet_localized(sys5, xs + 5), wavelet_localized(sys0, xs), atol=1e-14
-        )
 
     def test_inverse_fourier_oracle_n1(self):
         # assemble Psi-hat from the localized-wavelet transform and invert

@@ -18,7 +18,7 @@ from fracbesov.frac_wavelets import (
     psi_moment,
     wavelet_filter,
 )
-from fracbesov.quadrature import graded_breaks, panel_rule
+from fracbesov.quadrature import _gl_rule, graded_breaks, panel_rule
 from fracbesov.splines import (
     FractionalSpline,
     TruncationError,
@@ -76,6 +76,16 @@ class TestFilter:
         for m in (-2, 0, 3):
             ip = float(np.dot(wts, psi_vals * frac_bspline(spec, nodes - m)))
             assert abs(ip) < 5e-4
+
+    def test_cached_arrays_read_only(self):
+        # the cached filter, its symmetric samples and the Gauss rule are
+        # shared by every caller: an in-place write must not reach the cache
+        before = psi_frac(0.5, "causal", 0.3, trunc=60)
+        shared = (wavelet_filter(0.5, 60), beta_star_integer_samples(2.0, 170), *_gl_rule(12))
+        for arr in shared:
+            with pytest.raises(ValueError):
+                arr *= 2.0
+        assert psi_frac(0.5, "causal", 0.3, trunc=60) == before
 
 
 class TestPsi:
@@ -486,6 +496,15 @@ class TestShapes:
         x = np.empty(shape)
         for fn in self._evaluators():
             assert fn(x).shape == shape
+
+    def test_zero_dimensional_input(self):
+        # 0-d input gives a Python float, bitwise the 1-element call's value
+        x = np.array(0.3)
+        fns = self._evaluators() + [*natural_system(2), *fractional_system(5 / 3, "causal", 2)]
+        for fn in fns:
+            got = fn(x)
+            assert type(got) is float
+            assert np.array([got]).tobytes() == fn(x.reshape(1)).tobytes()
 
 
 class TestWaveletSystem:
