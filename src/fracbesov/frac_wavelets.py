@@ -10,12 +10,14 @@ evaluator.  The combination Psi adds cosine weights lambda_j(n) from the
 natural-order construction (battle_lemarie.translate_weights), folded into
 the filter, so psi and Psi are each one splines.beta_plus_filtered pass.
 Molecule checking certifies the decay / moment / Hoelder conditions on a
-grid, evaluating each derivative of the molecule once per grid by central
-differences; the calibration of c0 and c reads only the envelope
-conditions (M2)-(M4) and skips the moment quadrature of (M1).  A
-WaveletSystem is the pair (scale_fn, wavelet_fn) of the natural
-Battle-Lemarie system, divided by Lambda' and Lambda'', or of the
-fractional one, scaled by c0 and c.
+grid with one call of the molecule (its values, the central differences of
+its derivatives and the (M1) nodes together), and reads the envelopes in
+the scaled variable y = 2^nu (x - x_Q), where the default grid and its
+envelope tables are the same for every (nu, tau); the calibration of c0
+and c reads only the envelope conditions (M2)-(M4) and skips the moment
+quadrature of (M1).  A WaveletSystem is the pair (scale_fn, wavelet_fn)
+of the natural Battle-Lemarie system, divided by Lambda' and Lambda'',
+or of the fractional one, scaled by c0 and c.
 """
 
 from __future__ import annotations
@@ -249,21 +251,73 @@ class MoleculeReport:
 
     @property
     def max_envelope_ratio(self) -> float:
-        vals = [
-            v["ratio"]
-            for k, v in self.conditions.items()
-            if k != "M1" and v["ratio"] is not None
-        ]
-        return max(vals) if vals else 0.0
+        """Largest (M2)-(M4) ratio; NaN if any ratio is NaN."""
+        vals = [v["ratio"] for k, v in self.conditions.items() if k != "M1"]
+        return float(np.max(vals)) if vals else 0.0
 
     def passes(self) -> bool:
+        """Every condition holds; a non-finite value or ratio fails."""
         for name, entry in self.conditions.items():
-            if name == "M1":
-                if entry["value"] > MOMENT_TOL:
-                    return False
-            elif entry["ratio"] is not None and entry["ratio"] > 1.0 + 1e-9:
+            key, limit = ("value", MOMENT_TOL) if name == "M1" else ("ratio", 1.0 + 1e-9)
+            finite = all(math.isfinite(v) for v in entry.values() if v is not None)
+            if not (finite and entry[key] <= limit):
                 return False
         return True
+
+
+# the default grid in the scaled variable y = 2^nu (x - x_Q): the exact
+# lattice k/16 on [-25, 25], the same for every (nu, tau)
+_DEFAULT_Y = np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0)
+_DEFAULT_Y.flags.writeable = False
+
+
+def _grid_tables(y: np.ndarray, M: float, delta: float) -> tuple:
+    """(env, ix, iy, weight, live): the envelopes of molecule_check on y.
+
+    In y = 2^nu (x - x_Q), 2^nu times the distance to x_Q is |y| and 2^nu
+    times a pair's distance h is |dy|, so the envelope env = (1 + |y|)^-M
+    and the (M4) weight (2^nu h)^delta times the exact sup of the envelope
+    over [x - h, x + h],
+
+        weight = |dy|^delta (1 + max(0, |y_ix| - |dy|))^-M,
+
+    depend on y, M and delta alone: the envelope decreases with the
+    distance to x_Q, smallest at the point of the segment nearest to it.
+    The (M4) pairs (ix, iy) are the grid pairs of index strides 1, 4, 16,
+    64, the ``live`` pairs with weight > 0 first: a pair of weight 0 (a
+    repeated point, an envelope that underflows) bounds nothing.  The
+    arrays are returned read-only.
+    """
+    ay = np.abs(y)
+    strides = (1, 4, 16, 64)
+    ix = np.concatenate([np.arange(st, y.size) for st in strides])
+    iy = np.concatenate([np.arange(y.size - st) for st in strides])
+    dy = np.abs(y[ix] - y[iy])
+    weight = dy**delta * (1.0 + np.maximum(0.0, ay[ix] - dy)) ** -M
+    live = weight > 0
+    order = np.argsort(~live, kind="stable")
+    tables = ((1.0 + ay) ** -M, ix[order], iy[order], weight[order])
+    for arr in tables:
+        arr.flags.writeable = False
+    return (*tables, int(np.count_nonzero(live)))
+
+
+@lru_cache(maxsize=16)
+def _default_grid_tables(M: float, delta: float) -> tuple:
+    return _grid_tables(_DEFAULT_Y, M, delta)
+
+
+@lru_cache(maxsize=16)
+def _moment_rule(ya: float, yb: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M1) nodes and weights in y on [ya, yb], read-only.
+
+    12-point panels split at the half-integers and graded twice toward
+    each: in x = x_Q + y / 2^nu these are the breaks k / 2^(nu+1) of the
+    x-space rule, since x_Q = tau / 2^nu lies on that lattice.
+    """
+    nodes, wts = panel_rule(graded_breaks(ya, yb, per_unit=2, levels=2), 12)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
 
 
 def molecule_check(
@@ -275,80 +329,90 @@ def molecule_check(
     """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
 
     ``fn`` is the candidate molecule m_Q itself (scaling included by the
-    caller).  D^gamma m_Q, gamma = 0..[s], is evaluated once on ``grid``,
-    the derivatives as nested central differences of ``fn`` with step
-    1e-5 / 2^nu; (M2)-(M4) read that table, (M4) at the grid pairs of
-    strides 1, 4, 16, 64.  (M1) takes a graded 12-point panel rule over the
-    grid's range; it is void for N < 0.  Each condition maps to its
-    "value" and "ratio"; report-only: ratios > 1 mean the condition fails.
+    caller) and is called once, on the grid, the central-difference points
+    and the (M1) nodes together.  D^gamma m_Q, gamma = 0..[s], is tabulated
+    on ``grid``, the derivatives as nested central differences with step
+    1e-5 / 2^nu.  The envelopes are read in y = 2^nu (x - x_Q), where the
+    default grid is the lattice k/16 on [-25, 25] for every (nu, tau), so
+    its tables are built once per (M, delta) (_grid_tables), and every
+    ratio is max |D^gamma m_Q| / table times 2^(-nu/2 - nu gamma).  (M4)
+    reads the grid pairs of strides 1, 4, 16, 64.  (M1) takes a graded
+    12-point panel rule over the grid's range, built once per y-window; it
+    is void for N < 0.  Each condition maps to its "value" and "ratio";
+    report-only: ratios > 1 mean the condition fails.
     """
     nu, tau = Q
     x_q = tau / 2.0**nu
     scale = 2.0**nu
     s, M, N, delta = params.s, params.M, params.N, params.delta
     s_floor = math.floor(s)
+    # (M2)'s exponent is M - s when s < 0, where (M3)/(M4) are void, so one
+    # exponent serves every envelope a report reads
+    expo = M - min(s, 0.0) if nu >= 1 else M
     if grid is None:
-        grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / scale
-    grid = np.asarray(grid, dtype=float)
+        y = _DEFAULT_Y
+        grid = x_q + y / scale
+        env, ix, iy, weight, live = _default_grid_tables(expo, delta)
+    else:
+        grid = np.asarray(grid, dtype=float)
+        y = (grid - x_q) * scale
+        env, ix, iy, weight, live = _grid_tables(y, expo, delta)
 
-    def deriv(gamma, xs):
-        if gamma == 0:
-            return fn(xs)
-        h = 1e-5 / scale
-        return (deriv(gamma - 1, xs + h) - deriv(gamma - 1, xs - h)) / (2.0 * h)
-
-    table = [np.asarray(deriv(g, grid)) for g in range(max(s_floor, 0) + 1)]
+    # one fn call.  D^g is the nested central difference (D^(g-1)(x + h) -
+    # D^(g-1)(x - h)) / 2h, whose 2^g arguments, those of D^(g-1) each
+    # split into + h and - h, are rows 2^g - 1 .. 2^(g+1) - 2; the (M1)
+    # nodes (void for N < 0 and absent from the starred nu = 0 set) follow
+    h = 1e-5 / scale
+    gmax = max(s_floor, 0)
+    level, args = [grid], [grid]
+    for _ in range(gmax):
+        level = [q for p in level for q in (p + h, p - h)]
+        args += level
+    n_rows = len(args)
+    moments = N >= 0 and nu >= 1
+    if moments:
+        nodes, wts = _moment_rule(float(y.min()), float(y.max()))
+        nodes, wts = x_q + nodes / scale, wts / scale
+        args.append(nodes)
+    vals = np.asarray(fn(np.concatenate(args)))
+    rows = vals[: n_rows * grid.size].reshape(n_rows, grid.size)
+    table = []
+    for g in range(gmax + 1):
+        d = rows[2**g - 1 : 2 ** (g + 1) - 1]
+        for _ in range(g):
+            d = (d[0::2] - d[1::2]) / (2.0 * h)
+        table.append(d[0])
     report = MoleculeReport(nu=nu, tau=tau)
 
-    # (M1): vanishing moments up to N; void for N < 0 and absent from the
-    # starred nu = 0 set
-    if N >= 0 and nu >= 1:
-        a, b = float(grid.min()), float(grid.max())
-        breaks = graded_breaks(a, b, per_unit=max(2, int(2 * scale)), levels=2)
-        nodes, wts = panel_rule(breaks, 12)
-        vals = fn(nodes)
-        worst = max(
-            abs(float(np.dot(wts, nodes**g * vals))) for g in range(N + 1)
-        )
-        report.conditions["M1"] = {"value": worst, "ratio": None}
+    # (M1): vanishing moments up to N
+    if moments:
+        m1 = vals[rows.size :]
+        worst = np.max([abs(np.dot(wts, nodes**g * m1)) for g in range(N + 1)])
+        report.conditions["M1"] = {"value": float(worst), "ratio": None}
 
-    dist = np.abs(grid - x_q)
     star = "" if nu >= 1 else "*"
 
     # (M2): size envelope
-    expo = max(M, M - s) if nu >= 1 else M
-    env2 = (2.0 ** (nu / 2.0)) * (1.0 + scale * dist) ** (-expo)
     v = np.abs(table[0])
     report.conditions["M2" + star] = {
         "value": float(np.max(v)),
-        "ratio": float(np.max(v / env2)),
+        "ratio": float(np.max(v / env)) * 2.0 ** (-nu / 2.0),
     }
 
     # (M3)/(M4) void if s < 0
     if s >= 0:
         gammas = range(0, s_floor + 1) if nu >= 1 else range(1, s_floor + 1)
-        worst3 = 0.0
-        for g in gammas:
-            env3 = 2.0 ** (nu / 2.0 + nu * g) * (1.0 + scale * dist) ** (-M)
-            worst3 = max(worst3, float(np.max(np.abs(table[g]) / env3)))
-        if nu >= 1 or s_floor >= 1:
-            report.conditions["M3" + star] = {"value": None, "ratio": worst3}
+        if gammas:
+            worst3 = np.max(
+                [np.max(np.abs(table[g]) / env) * 2.0 ** (-nu / 2.0 - nu * g) for g in gammas]
+            )
+            report.conditions["M3" + star] = {"value": None, "ratio": float(worst3)}
 
         g = s_floor
-        strides = (1, 4, 16, 64)
-        ix = np.concatenate([np.arange(st, grid.size) for st in strides])
-        iy = np.concatenate([np.arange(grid.size - st) for st in strides])
         diff = np.abs(table[g][ix] - table[g][iy])
-        h = np.abs(grid[ix] - grid[iy])
-        # exact sup over |z| <= 1 of the envelope at x - z h: the envelope
-        # decreases with the distance to x_q, which is smallest at the
-        # point of [x - h, x + h] nearest to x_q (scale = 1 at nu = 0)
-        sup_env = (1.0 + scale * np.maximum(0.0, dist[ix] - h)) ** (-M)
-        bound = 2.0 ** (nu / 2.0 + nu * g + nu * delta) * h**delta * sup_env
-        ok = bound > 0
         report.conditions["M4" + star] = {
             "value": float(np.max(diff)),
-            "ratio": float(np.max(diff[ok] / bound[ok])),
+            "ratio": float(np.max(diff[:live] / weight[:live])) * 2.0 ** (-nu / 2.0 - nu * g),
         }
     return report
 
@@ -417,22 +481,27 @@ def calibrate_constants(
     nonzero moment vanish, so the reports are taken with N = -1, which
     voids (M1): (c0, c) read only the envelope ratios (M2)-(M4) and are
     the same as with ``params``.  Certify (M1) on the calibrated system with
-    ``molecule_check`` and ``params``.
+    ``molecule_check`` and ``params``.  A non-finite ratio raises ValueError.
     """
     sysu = fractional_system(alpha, variant, comb_n, trunc=trunc)
     params = replace(params, N=-1)
-    rep0 = molecule_check(sysu.scale_fn, (0, 0), params)
-    r0 = rep0.max_envelope_ratio
-    c0 = min(1.0, 0.98 / r0) if r0 > 0 else 1.0
-    worst = 0.0
-    for nu in nus:
-        if nu == 0:
-            continue
 
-        def m_q(x, nu=nu):
-            return 2.0 ** (nu / 2.0) * sysu.wavelet_fn(2.0**nu * x)
+    def m_q(nu):
+        return lambda x: 2.0 ** (nu / 2.0) * sysu.wavelet_fn(2.0**nu * x)
 
-        rep = molecule_check(m_q, (nu, 0), params)
-        worst = max(worst, rep.max_envelope_ratio)
-    c = min(1.0, 0.98 / worst) if worst > 0 else 1.0
+    c0 = _constant([molecule_check(sysu.scale_fn, (0, 0), params).max_envelope_ratio])
+    c = _constant([
+        molecule_check(m_q(nu), (nu, 0), params).max_envelope_ratio for nu in nus if nu != 0
+    ])
     return c0, c
+
+
+def _constant(ratios: list[float]) -> float:
+    """0.98 over the worst ratio, capped at 1 (1 with no ratio above 0).
+
+    A non-finite ratio certifies nothing, so it raises ValueError.
+    """
+    if not all(math.isfinite(r) for r in ratios):
+        raise ValueError(f"non-finite envelope ratio among {ratios}")
+    worst = max(ratios, default=0.0)
+    return min(1.0, 0.98 / worst) if worst > 0 else 1.0

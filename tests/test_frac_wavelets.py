@@ -30,6 +30,84 @@ from fracbesov.splines import (
 from fracbesov.specfun import gbinom_row
 
 
+def _x_space_conditions(fn, Q, params, grid=None):
+    """Reference (M1)-(M4) report: the envelopes built in x on every call.
+
+    fn is called separately for the values, each side of the nested
+    central difference and the (M1) nodes.
+    """
+    nu, tau = Q
+    x_q = tau / 2.0**nu
+    scale = 2.0**nu
+    s, M, N, delta = params.s, params.M, params.N, params.delta
+    s_floor = math.floor(s)
+    if grid is None:
+        grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / scale
+    grid = np.asarray(grid, dtype=float)
+
+    def deriv(gamma, xs):
+        if gamma == 0:
+            return fn(xs)
+        h = 1e-5 / scale
+        return (deriv(gamma - 1, xs + h) - deriv(gamma - 1, xs - h)) / (2.0 * h)
+
+    table = [np.asarray(deriv(g, grid)) for g in range(max(s_floor, 0) + 1)]
+    out = {}
+    if N >= 0 and nu >= 1:
+        a, b = float(grid.min()), float(grid.max())
+        breaks = graded_breaks(a, b, per_unit=max(2, int(2 * scale)), levels=2)
+        nodes, wts = panel_rule(breaks, 12)
+        vals = fn(nodes)
+        worst = max(abs(float(np.dot(wts, nodes**g * vals))) for g in range(N + 1))
+        out["M1"] = {"value": worst, "ratio": None}
+    dist = np.abs(grid - x_q)
+    star = "" if nu >= 1 else "*"
+    expo = max(M, M - s) if nu >= 1 else M
+    env2 = (2.0 ** (nu / 2.0)) * (1.0 + scale * dist) ** (-expo)
+    v = np.abs(table[0])
+    out["M2" + star] = {"value": float(np.max(v)), "ratio": float(np.max(v / env2))}
+    if s >= 0:
+        gammas = range(0, s_floor + 1) if nu >= 1 else range(1, s_floor + 1)
+        worst3 = 0.0
+        for g in gammas:
+            env3 = 2.0 ** (nu / 2.0 + nu * g) * (1.0 + scale * dist) ** (-M)
+            worst3 = max(worst3, float(np.max(np.abs(table[g]) / env3)))
+        if nu >= 1 or s_floor >= 1:
+            out["M3" + star] = {"value": None, "ratio": worst3}
+        g = s_floor
+        strides = (1, 4, 16, 64)
+        ix = np.concatenate([np.arange(st, grid.size) for st in strides])
+        iy = np.concatenate([np.arange(grid.size - st) for st in strides])
+        diff = np.abs(table[g][ix] - table[g][iy])
+        h = np.abs(grid[ix] - grid[iy])
+        sup_env = (1.0 + scale * np.maximum(0.0, dist[ix] - h)) ** (-M)
+        bound = 2.0 ** (nu / 2.0 + nu * g + nu * delta) * h**delta * sup_env
+        ok = bound > 0
+        out["M4" + star] = {
+            "value": float(np.max(diff)),
+            "ratio": float(np.max(diff[ok] / bound[ok])),
+        }
+    return out
+
+
+def _assert_same_conditions(got, want):
+    # ratios and values to 1e-15 relative, (M1) to 1e-16 absolute
+    assert set(got) == set(want)
+    for name, entry in want.items():
+        for key, ref in entry.items():
+            if ref is None:
+                assert got[name][key] is None
+            elif name == "M1":
+                assert abs(got[name][key] - ref) <= 1e-16
+            else:
+                assert abs(got[name][key] - ref) <= 1e-15 * abs(ref)
+
+
+def _assert_matches_oracle(fn, Q, params):
+    got = molecule_check(fn, Q, params).conditions
+    _assert_same_conditions(got, _x_space_conditions(fn, Q, params))
+
+
 class TestFilter:
     def test_chui_wang_anchor(self):
         # at alpha = 1 this is Chui-Wang's filter (1/12) [1, -6, 10, -6, 1]
@@ -395,8 +473,8 @@ class TestMoleculeCheck:
             assert reps[1][cond]["ratio"] == pytest.approx(reps[0][cond]["ratio"], rel=1e-9)
 
     def test_single_evaluation(self):
-        # fn sees the grid once for the values and once per side of the
-        # central difference at s = 1; N = -1 here, so there is no (M1)
+        # fn is called once, on the grid and both sides of the central
+        # difference at s = 1; N = -1 here, so there is no (M1)
         params = molecule_params_for(2.0, 2.0, 1.0, 1.0, 3.0)
         assert params.N == -1
         nat = natural_system(3)
@@ -410,7 +488,94 @@ class TestMoleculeCheck:
 
         rep = molecule_check(fn, (nu, tau), params, grid=grid)
         assert {"M2", "M3", "M4"} <= set(rep.conditions)
-        assert sum(seen) == 3 * grid.size
+        assert seen == [3 * grid.size]
+
+    def test_single_evaluation_with_moments(self):
+        # N = 0 at nu = 1: the grid and the 4800 (M1) nodes in one call
+        params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
+        assert params.N == 0
+        nat = natural_system(3)
+        seen = []
+
+        def fn(x):
+            seen.append(np.size(x))
+            return 2.0**0.5 * nat.wavelet_fn(2.0 * x - 3)
+
+        rep = molecule_check(fn, (1, 3), params)
+        assert {"M1", "M2", "M3", "M4"} == set(rep.conditions)
+        assert seen == [801 + 4800]
+
+    # s = 2 nests the central difference twice
+    @pytest.mark.parametrize("n,s", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)])
+    def test_natural_matches_x_space_oracle(self, n, s):
+        params = molecule_params_for(2.0, 2.0, float(s), 1.0, float(n))
+        nat = natural_system(n)
+        for nu in (0, 1, 2):
+            for tau in (-8, 0, 7):
+                if nu == 0:
+                    fn = nat.scale_fn
+                else:
+                    def fn(x, nu=nu, tau=tau):
+                        return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
+
+                _assert_matches_oracle(fn, (nu, tau), params)
+
+    def test_fractional_matches_x_space_oracle(self):
+        params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 5 / 3)
+        sysf = fractional_system(5 / 3, "causal", 2, trunc=60)
+        _assert_matches_oracle(sysf.scale_fn, (0, 0), params)
+        _assert_matches_oracle(lambda x: 2.0**0.5 * sysf.wavelet_fn(2.0 * x), (1, 0), params)
+
+    def test_explicit_default_grid(self):
+        # the default grid passed as grid= takes the uncached tables
+        params = molecule_params_for(2.0, 2.0, 1.0, 1.0, 3.0)
+        nat = natural_system(3)
+        nu, tau = 1, -5
+
+        def fn(x):
+            return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
+
+        grid = tau / 2.0 + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / 2.0
+        _assert_same_conditions(
+            molecule_check(fn, (nu, tau), params, grid=grid).conditions,
+            molecule_check(fn, (nu, tau), params).conditions,
+        )
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_nan_value_fails(self, nu):
+        # a NaN at one grid point fails the report: max(0.0, nan) is 0.0
+        # and nan > 1 is False, so neither may decide it
+        params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
+        nat = natural_system(2)
+
+        def clean(x):
+            return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x)
+
+        c = 0.98 / molecule_check(clean, (nu, 0), params).max_envelope_ratio
+        assert molecule_check(lambda x: c * clean(x), (nu, 0), params).passes()
+
+        def spoiled(x):
+            return np.where(x == 0.5, np.nan, c * clean(x))
+
+        rep = molecule_check(spoiled, (nu, 0), params)
+        assert math.isnan(rep.max_envelope_ratio)
+        assert not rep.passes()
+
+    def test_all_nan_fails(self):
+        params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
+        rep = molecule_check(lambda x: np.full(np.shape(x), np.nan), (1, 0), params)
+        assert math.isnan(rep.conditions["M3"]["ratio"])
+        assert math.isnan(rep.conditions["M1"]["value"])
+        assert not rep.passes()
+
+    def test_calibration_rejects_nan(self, monkeypatch):
+        def nan_system(*args, **kwargs):
+            return WaveletSystem(lambda x: np.full(np.shape(x), np.nan), lambda x: x)
+
+        monkeypatch.setattr("fracbesov.frac_wavelets.fractional_system", nan_system)
+        params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 5 / 3)
+        with pytest.raises(ValueError):
+            calibrate_constants(5 / 3, "causal", 2, params, nus=(0, 1), trunc=60)
 
     @staticmethod
     def _m4_ratio_on_z(fn, grid, x_q, nu, params, zs):
