@@ -3,8 +3,13 @@
 The construction goes through the autocorrelation symbol
 P_n(w) = sum_j B_{2n+1}(n+1+j) e^{ijw}, whose negative reciprocal root pairs
 {-r_j, -1/r_j} define the orthonormalization factor A_n(w) =
-prod_j (1 + e^{iw} r_j) with beta_n^2 P_n(w) = |A_n(w)|^2.  The localized
-scaling function is beta_n B_n.  The localized wavelet is a finite
+prod_j (1 + e^{iw} r_j) with beta_n^2 P_n(w) = |A_n(w)|^2.  The cosine
+weights lambda_j of prod_j (rho_j - 2 cos t) = sum_j (-1)^j lambda_j cos(jt),
+rho_j = r_j + 1/r_j, are exact integers: z^n P_n(z) = a prod_j (z + r_j)
+(z + 1/r_j) with a = B_{2n+1}(2n+1) = 1/(2n+1)!, so at z = -e^{it} the
+product is P_n(t + pi) / a and lambda_j = (2 - [j = 0]) (2n+1)! B_{2n+1}(n+1+j),
+an Eulerian number (doubled for j >= 1).  The localized scaling function
+is beta_n B_n.  The localized wavelet is a finite
 cosine-weighted combination of translates of D = B_{2n+1}^(n+1) =
 Delta^(n+1) B_n, so it is itself a spline of order n on the integers of
 u = 2x + n: one splines.bspline_filtered pass with a 3n+2 tap filter,
@@ -96,39 +101,18 @@ def euler_frobenius_roots(n: int) -> list[float]:
     return polished
 
 
-def lambda_coeffs(roots) -> list[float]:
-    """Cosine coefficients lambda_j with
-    prod_j (rho_j - 2 cos t) = sum_j (-1)^j lambda_j cos(j t), rho_j = r_j + 1/r_j.
-
-    Chebyshev product reduction: multiplying a cos-polynomial by cos t maps
-    coefficient mu_j into (mu_{j-1} + mu_{j+1})/2 with folding at j = 0.
-    """
-    roots = list(roots)
-    if any(not 0.0 < r < 1.0 for r in roots):
-        raise ValueError("all roots must lie in (0,1)")
-    mu = np.zeros(len(roots) + 1)
-    mu[0] = 1.0
-    deg = 0
-    for r in roots:
-        rho = r + 1.0 / r
-        cos_mu = np.zeros_like(mu)
-        # cos * cos(j t) expansion, folded at zero
-        cos_mu[1] += mu[0]
-        for j in range(1, deg + 1):
-            cos_mu[j + 1] += 0.5 * mu[j]
-            cos_mu[abs(j - 1)] += 0.5 * mu[j]
-        mu = rho * mu - 2.0 * cos_mu
-        deg += 1
-    lam = [((-1.0) ** j) * mu[j] for j in range(len(mu))]
-    return lam
-
-
 @lru_cache(maxsize=64)
 def bl_system(n: int) -> BLSystem:
-    """The frozen Battle-Lemarie data of order n, built once per order."""
+    """The frozen Battle-Lemarie data of order n, built once per order.
+
+    lam holds the exact integers lambda_j = (2 - [j = 0]) (2n+1)!
+    B_{2n+1}(n+1+j), j = 0..n, from the rational samples of B_{2n+1}.
+    """
     roots = euler_frobenius_roots(n)
     beta_n = float(np.prod([1.0 + r for r in roots]))
-    return BLSystem(n=n, roots=tuple(roots), beta_n=beta_n, lam=tuple(lambda_coeffs(roots)))
+    sam, a_inv = bspline_integer_samples(2 * n + 1), math.factorial(2 * n + 1)
+    lam = tuple(float((2 - (j == 0)) * a_inv * sam[n + 1 + j]) for j in range(n + 1))
+    return BLSystem(n=n, roots=tuple(roots), beta_n=beta_n, lam=lam)
 
 
 def orthonormalizer(sys: BLSystem, omega) -> np.ndarray:

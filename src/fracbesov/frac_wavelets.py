@@ -9,11 +9,12 @@ whose integer symmetric-spline samples come from the Poisson-summation
 evaluator.  The combination Psi adds cosine weights lambda_j(n) from the
 natural-order construction (battle_lemarie.translate_weights), folded into
 the filter, so psi and Psi are each one splines.beta_plus_filtered pass.
-Molecule checking certifies the decay / moment / Hoelder conditions on a
-grid with one call of the molecule (its values, the central differences of
-its derivatives and the (M1) nodes together), and reads the envelopes in
-the scaled variable y = 2^nu (x - x_Q), where the default grid and its
-envelope tables are the same for every (nu, tau); the calibration of c0
+Their tail estimate is held to one tolerance, TAIL_TOL.  Molecule checking
+certifies the decay / moment / Hoelder conditions on one reference grid,
+the lattice k/16 on [-25, 25] in the scaled variable y = 2^nu (x - x_Q),
+with one call of the molecule (its values, the central differences of its
+derivatives and the (M1) nodes together); the grid, its envelope tables
+and the (M1) rule are the same for every (nu, tau).  The calibration of c0
 and c reads only the envelope conditions (M2)-(M4) and skips the moment
 quadrature of (M1).  A WaveletSystem is the pair (scale_fn, wavelet_fn)
 of the natural Battle-Lemarie system, divided by Lambda' and Lambda'',
@@ -41,6 +42,12 @@ from .splines import (
     beta_star_integer_samples,
     frac_bspline,
 )
+
+
+# largest psi tail estimate that psi_frac and Psi_combined accept
+TAIL_TOL = 1e-6
+# largest |moment| for which a report's (M1) passes
+MOMENT_TOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +78,7 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     return q
 
 
-def _psi_translates(alpha, variant, x, up, trunc, tail_tol):
+def _psi_translates(alpha, variant, x, up, trunc):
     """sum_t up[2t] psi(x + t), up the translate weights up-sampled by 2.
 
     psi_+(x + t) = sum_k q_k beta_+(2x - k + 2t) and psi_-(x + t) =
@@ -79,12 +86,15 @@ def _psi_translates(alpha, variant, x, up, trunc, tail_tol):
     pass on the input's own points with the taps q * up[::-1] from
     k0 = -trunc - (len(up) - 1) (causal) or q[::-1] * up from -trunc.  The
     tail estimate covers the translated finite points [min x, max x +
-    2 t_max]; without finite points there is none, and non-finite x give NaN.
+    2 t_max] and must stay within TAIL_TOL; without finite points there is
+    none, and non-finite x give NaN.
     """
     if alpha <= 0 or _is_nat(alpha):
         raise ValueError("psi_frac requires non-integer alpha > 0")
     if variant not in ("causal", "anticausal"):
         raise ValueError(f"variant must be one-sided, got {variant!r}")
+    if trunc < 1:
+        raise ValueError(f"trunc must be >= 1, got {trunc}")
     xs = np.asarray(x, dtype=float)
     q = wavelet_filter(alpha, trunc)
     if variant == "causal":
@@ -102,15 +112,15 @@ def _psi_translates(alpha, variant, x, up, trunc, tail_tol):
         est = live_edge * (min(1.0, margin ** -(alpha + 1.0)) if margin > 1.0 else trunc)
         if not natural_cut:
             est += trunc * max(abs(q[0]), abs(q[-1]))
-        if est > tail_tol:
+        if est > TAIL_TOL:
             raise TruncationError(
-                f"psi tail estimate {est:.2e} exceeds {tail_tol:.0e} at trunc={trunc}; "
+                f"psi tail estimate {est:.2e} exceeds {TAIL_TOL:.0e} at trunc={trunc}; "
                 "increase trunc or shrink the evaluation window"
             )
     return beta_plus_filtered(alpha, u, taps, k0)
 
 
-def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1e-6):
+def psi_frac(alpha: float, variant: str, x, trunc: int = 80):
     """psi_+^alpha or psi_-^alpha at x; series truncated at |k| <= trunc.
 
     With u = 2x (causal) or u = -2x (anticausal),
@@ -124,33 +134,27 @@ def psi_frac(alpha: float, variant: str, x, trunc: int = 80, tail_tol: float = 1
 
     The one-sided spline terminates the sum on one side exactly; on the
     other side the omitted terms are bounded by the filter edge value times
-    the lattice tail of the spline envelope.  A TruncationError means the
-    requested points sit too deep in the tail for this ``trunc``.
+    the lattice tail of the spline envelope.  A TruncationError means this
+    bound exceeds TAIL_TOL: the requested points sit too deep in the tail
+    for this ``trunc`` (which must be >= 1).
     """
-    return _psi_translates(alpha, variant, x, np.ones(1), trunc, tail_tol)
+    return _psi_translates(alpha, variant, x, np.ones(1), trunc)
 
 
-def Psi_combined(
-    alpha: float,
-    n: int,
-    variant: str,
-    x,
-    trunc: int = 80,
-    sign: float = 1.0,
-    tail_tol: float = 1e-6,
-):
+def Psi_combined(alpha: float, n: int, variant: str, x, trunc: int = 80, sign: float = 1.0):
     """Psi_±^alpha(x) = sum_j lambda_j(n)/(2 (-1)^j) [psi(x+n+j) + sign psi(x+n-j)].
 
     The weights of psi(x + t), t = 0..2n, are battle_lemarie's
     translate_weights; up-sampled by 2 they fold into psi's filter, so Psi
     is one beta_plus_filtered pass on the input's own points.  The
-    TruncationError estimate is psi_frac's over [min x, max x + 2n].
+    TruncationError estimate is psi_frac's over [min x, max x + 2n], held
+    to the same TAIL_TOL.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     up = np.zeros(4 * n + 1)
     up[::2] = translate_weights(bl_system(n), sign)
-    return _psi_translates(alpha, variant, x, up, trunc, tail_tol)
+    return _psi_translates(alpha, variant, x, up, trunc)
 
 
 def beta_moment(alpha: float, variant: str, i: int) -> float:
@@ -215,17 +219,14 @@ def molecule_params_for(
 ) -> MoleculeParams:
     """Choose (delta, M, N) for decorating order-alpha splines as molecules.
 
-    J = r_w/p + 1/p' for p > 1 (J = r_w at p = 1); N = max([J-s-1], -1);
+    J = r_w/p + 1/p' with 1/p' = 1 - 1/p (J = r_w at p = 1, 1 at p = inf);
+    N = max([J-s-1], -1);
     the admissible M is capped by the order-dependent bound
     alpha + 1 - [s] (s >= -1) or alpha + 2 + s (s < -1).
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p == 1:
-        J = r_w
-    else:
-        pprime = p / (p - 1.0)
-        J = r_w / p + 1.0 / pprime
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    J = r_w / p + (1.0 - 1.0 / p)
     N = max(math.floor(J - s - 1.0), -1)
     frac_s = s - math.floor(s)
     delta = (frac_s + 1.0) / 2.0
@@ -237,10 +238,6 @@ def molecule_params_for(
         )
     M = min(bound, J + 1.0)
     return MoleculeParams(delta=delta, M=M, N=N, J=J, s=s)
-
-
-# largest |moment| for which a report's (M1) passes
-MOMENT_TOL = 1e-5
 
 
 @dataclass
@@ -265,14 +262,15 @@ class MoleculeReport:
         return True
 
 
-# the default grid in the scaled variable y = 2^nu (x - x_Q): the exact
+# the reference grid in the scaled variable y = 2^nu (x - x_Q): the exact
 # lattice k/16 on [-25, 25], the same for every (nu, tau)
-_DEFAULT_Y = np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0)
-_DEFAULT_Y.flags.writeable = False
+_GRID_Y = np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0)
+_GRID_Y.flags.writeable = False
 
 
-def _grid_tables(y: np.ndarray, M: float, delta: float) -> tuple:
-    """(env, ix, iy, weight, live): the envelopes of molecule_check on y.
+@lru_cache(maxsize=16)
+def _grid_tables(M: float, delta: float) -> tuple:
+    """(env, ix, iy, weight): the envelopes of molecule_check on _GRID_Y.
 
     In y = 2^nu (x - x_Q), 2^nu times the distance to x_Q is |y| and 2^nu
     times a pair's distance h is |dy|, so the envelope env = (1 + |y|)^-M
@@ -281,65 +279,55 @@ def _grid_tables(y: np.ndarray, M: float, delta: float) -> tuple:
 
         weight = |dy|^delta (1 + max(0, |y_ix| - |dy|))^-M,
 
-    depend on y, M and delta alone: the envelope decreases with the
-    distance to x_Q, smallest at the point of the segment nearest to it.
-    The (M4) pairs (ix, iy) are the grid pairs of index strides 1, 4, 16,
-    64, the ``live`` pairs with weight > 0 first: a pair of weight 0 (a
-    repeated point, an envelope that underflows) bounds nothing.  The
-    arrays are returned read-only.
+    depend on M and delta alone: the envelope decreases with the distance
+    to x_Q, smallest at the point of the segment nearest to it.  The (M4)
+    pairs (ix, iy) are the grid pairs of index strides 1, 4, 16, 64, all at
+    |dy| >= 1/16, so a weight is 0 only where (1 + 25)^-M underflows (M
+    above about 228); such an M raises ValueError.  Built once per
+    (M, delta); the arrays are returned read-only.
     """
-    ay = np.abs(y)
+    ay = np.abs(_GRID_Y)
     strides = (1, 4, 16, 64)
-    ix = np.concatenate([np.arange(st, y.size) for st in strides])
-    iy = np.concatenate([np.arange(y.size - st) for st in strides])
-    dy = np.abs(y[ix] - y[iy])
+    ix = np.concatenate([np.arange(st, ay.size) for st in strides])
+    iy = np.concatenate([np.arange(ay.size - st) for st in strides])
+    dy = np.abs(_GRID_Y[ix] - _GRID_Y[iy])
     weight = dy**delta * (1.0 + np.maximum(0.0, ay[ix] - dy)) ** -M
-    live = weight > 0
-    order = np.argsort(~live, kind="stable")
-    tables = ((1.0 + ay) ** -M, ix[order], iy[order], weight[order])
+    if not np.all(weight > 0):
+        raise ValueError(f"the envelope (1 + |y|)^-{M:g} underflows on the grid")
+    tables = ((1.0 + ay) ** -M, ix, iy, weight)
     for arr in tables:
         arr.flags.writeable = False
-    return (*tables, int(np.count_nonzero(live)))
+    return tables
 
 
-@lru_cache(maxsize=16)
-def _default_grid_tables(M: float, delta: float) -> tuple:
-    return _grid_tables(_DEFAULT_Y, M, delta)
-
-
-@lru_cache(maxsize=16)
-def _moment_rule(ya: float, yb: float) -> tuple[np.ndarray, np.ndarray]:
-    """(M1) nodes and weights in y on [ya, yb], read-only.
+@lru_cache(maxsize=1)
+def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
+    """(M1) nodes and weights in y over the grid's range [-25, 25], read-only.
 
     12-point panels split at the half-integers and graded twice toward
     each: in x = x_Q + y / 2^nu these are the breaks k / 2^(nu+1) of the
     x-space rule, since x_Q = tau / 2^nu lies on that lattice.
     """
-    nodes, wts = panel_rule(graded_breaks(ya, yb, per_unit=2, levels=2), 12)
+    breaks = graded_breaks(float(_GRID_Y[0]), float(_GRID_Y[-1]), per_unit=2, levels=2)
+    nodes, wts = panel_rule(breaks, 12)
     nodes.flags.writeable = wts.flags.writeable = False
     return nodes, wts
 
 
-def molecule_check(
-    fn,
-    Q: tuple[int, int],
-    params: MoleculeParams,
-    grid=None,
-) -> MoleculeReport:
+def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeReport:
     """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
 
     ``fn`` is the candidate molecule m_Q itself (scaling included by the
     caller) and is called once, on the grid, the central-difference points
     and the (M1) nodes together.  D^gamma m_Q, gamma = 0..[s], is tabulated
-    on ``grid``, the derivatives as nested central differences with step
-    1e-5 / 2^nu.  The envelopes are read in y = 2^nu (x - x_Q), where the
-    default grid is the lattice k/16 on [-25, 25] for every (nu, tau), so
-    its tables are built once per (M, delta) (_grid_tables), and every
-    ratio is max |D^gamma m_Q| / table times 2^(-nu/2 - nu gamma).  (M4)
-    reads the grid pairs of strides 1, 4, 16, 64.  (M1) takes a graded
-    12-point panel rule over the grid's range, built once per y-window; it
-    is void for N < 0.  Each condition maps to its "value" and "ratio";
-    report-only: ratios > 1 mean the condition fails.
+    on the reference grid x_Q + y / 2^nu, y the lattice k/16 on [-25, 25],
+    the derivatives as nested central differences with step 1e-5 / 2^nu.
+    The envelopes are read in y, so their tables are built once per
+    (M, delta) (_grid_tables), and every ratio is max |D^gamma m_Q| / table
+    times 2^(-nu/2 - nu gamma).  (M4) reads the grid pairs of strides 1, 4,
+    16, 64.  (M1) takes a graded 12-point panel rule over the grid's range,
+    built once; it is void for N < 0.  Each condition maps to its "value"
+    and "ratio"; report-only: ratios > 1 mean the condition fails.
     """
     nu, tau = Q
     x_q = tau / 2.0**nu
@@ -349,14 +337,8 @@ def molecule_check(
     # (M2)'s exponent is M - s when s < 0, where (M3)/(M4) are void, so one
     # exponent serves every envelope a report reads
     expo = M - min(s, 0.0) if nu >= 1 else M
-    if grid is None:
-        y = _DEFAULT_Y
-        grid = x_q + y / scale
-        env, ix, iy, weight, live = _default_grid_tables(expo, delta)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        y = (grid - x_q) * scale
-        env, ix, iy, weight, live = _grid_tables(y, expo, delta)
+    env, ix, iy, weight = _grid_tables(expo, delta)
+    grid = x_q + _GRID_Y / scale
 
     # one fn call.  D^g is the nested central difference (D^(g-1)(x + h) -
     # D^(g-1)(x - h)) / 2h, whose 2^g arguments, those of D^(g-1) each
@@ -371,7 +353,7 @@ def molecule_check(
     n_rows = len(args)
     moments = N >= 0 and nu >= 1
     if moments:
-        nodes, wts = _moment_rule(float(y.min()), float(y.max()))
+        nodes, wts = _moment_rule()
         nodes, wts = x_q + nodes / scale, wts / scale
         args.append(nodes)
     vals = np.asarray(fn(np.concatenate(args)))
@@ -412,7 +394,7 @@ def molecule_check(
         diff = np.abs(table[g][ix] - table[g][iy])
         report.conditions["M4" + star] = {
             "value": float(np.max(diff)),
-            "ratio": float(np.max(diff[:live] / weight[:live])) * 2.0 ** (-nu / 2.0 - nu * g),
+            "ratio": float(np.max(diff / weight)) * 2.0 ** (-nu / 2.0 - nu * g),
         }
     return report
 
@@ -476,11 +458,12 @@ def calibrate_constants(
     """Largest c0, c in (0, 1] making the molecule envelopes pass.
 
     c0 scales the order-alpha spline at nu = 0; c scales the dilated
-    combined wavelet at nu >= 1.  Ratios are measured on the reference grid
-    and inverted with a 2% safety margin.  No scale factor can make a
-    nonzero moment vanish, so the reports are taken with N = -1, which
-    voids (M1): (c0, c) read only the envelope ratios (M2)-(M4) and are
-    the same as with ``params``.  Certify (M1) on the calibrated system with
+    combined wavelet at nu >= 1.  Ratios are measured on molecule_check's
+    one reference grid (y = 2^nu x on the lattice k/16 over [-25, 25]) and
+    inverted with a 2% safety margin.  No scale factor can make a nonzero
+    moment vanish, so the reports are taken with N = -1, which voids (M1):
+    (c0, c) read only the envelope ratios (M2)-(M4) and are the same as
+    with ``params``.  Certify (M1) on the calibrated system with
     ``molecule_check`` and ``params``.  A non-finite ratio raises ValueError.
     """
     sysu = fractional_system(alpha, variant, comb_n, trunc=trunc)

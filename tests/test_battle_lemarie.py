@@ -11,7 +11,6 @@ from fracbesov.battle_lemarie import (
     bl_system,
     euler_frobenius_roots,
     factorization_residual,
-    lambda_coeffs,
     orthonormality_residual,
     orthonormalizer,
     scaling_localized,
@@ -19,6 +18,7 @@ from fracbesov.battle_lemarie import (
     wavelet_localized,
 )
 from fracbesov.quadrature import graded_breaks, panel_rule
+from fracbesov.splines import bspline_integer_samples
 
 
 class TestRoots:
@@ -56,15 +56,30 @@ class TestRoots:
 
 class TestLambda:
     def test_n1_hand_expansion(self):
+        # rho - 2 cos t = lambda_0 - lambda_1 cos t with rho = r + 1/r = 4
         r = 2.0 - math.sqrt(3.0)
-        lam = lambda_coeffs([r])
-        assert lam[0] == pytest.approx(r + 1.0 / r, rel=1e-12)  # = 4
-        assert lam[0] == pytest.approx(4.0, rel=1e-12)
-        assert lam[1] == pytest.approx(2.0, rel=1e-12)
+        assert bl_system(1).lam == (4.0, 2.0)
+        assert r + 1.0 / r == pytest.approx(4.0, rel=1e-12)
 
     def test_leading_is_two(self):
-        for n in range(1, 7):
-            assert bl_system(n).lam[-1] == pytest.approx(2.0, abs=1e-10)
+        for n in range(1, 9):
+            assert bl_system(n).lam[-1] == 2.0
+
+    def test_exact_integers(self):
+        # lambda_j = (2 - [j = 0]) A(2n+1, n+j), A the Eulerian numbers by
+        # their recurrence, which are (2n+1)! B_{2n+1}(n+1+j) on the exact
+        # rational samples
+        euler = [[1]]
+        for m in range(1, 18):
+            prev = euler[-1] + [0]
+            euler.append([(k + 1) * prev[k] + (m - k) * (prev[k - 1] if k else 0)
+                          for k in range(m)])
+        for n in range(1, 9):
+            m = 2 * n + 1
+            row = euler[m][n:]
+            sam = bspline_integer_samples(m)
+            assert [math.factorial(m) * sam[n + 1 + j] for j in range(n + 1)] == row
+            assert bl_system(n).lam == tuple(float((2 - (j == 0)) * a) for j, a in enumerate(row))
 
     def test_positive(self):
         for n in range(1, 7):

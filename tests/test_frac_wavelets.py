@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracbesov import frac_wavelets as fw
 from fracbesov.battle_lemarie import bl_system, scaling_localized, wavelet_localized
 from fracbesov.frac_wavelets import (
     InfeasibleOrderError,
@@ -30,7 +31,7 @@ from fracbesov.splines import (
 from fracbesov.specfun import gbinom_row
 
 
-def _x_space_conditions(fn, Q, params, grid=None):
+def _x_space_conditions(fn, Q, params):
     """Reference (M1)-(M4) report: the envelopes built in x on every call.
 
     fn is called separately for the values, each side of the nested
@@ -41,9 +42,7 @@ def _x_space_conditions(fn, Q, params, grid=None):
     scale = 2.0**nu
     s, M, N, delta = params.s, params.M, params.N, params.delta
     s_floor = math.floor(s)
-    if grid is None:
-        grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / scale
-    grid = np.asarray(grid, dtype=float)
+    grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / scale
 
     def deriv(gamma, xs):
         if gamma == 0:
@@ -192,11 +191,12 @@ class TestPsi:
             assert expr3(float(x)) == pytest.approx(direct, abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.5, 5 / 3])
-    def test_causal_series_oracle(self, alpha):
+    def test_causal_series_oracle(self, alpha, monkeypatch):
         # psi_+(x) = sum_k q_k beta_+(2x - k), assembled from the filter and
         # frac_bspline; the mixed array holds shared and distinct offsets and
-        # points with 2x + trunc < 0, where every term vanishes.  tail_tol is
+        # points with 2x + trunc < 0, where every term vanishes.  TAIL_TOL is
         # lifted so that the truncated series itself is compared there.
+        monkeypatch.setattr(fw, "TAIL_TOL", 1.0)
         K = 40
         rng = np.random.default_rng(2)
         xs = np.concatenate(
@@ -207,7 +207,7 @@ class TestPsi:
         spec = FractionalSpline(alpha=alpha)
         ks = np.arange(-K, K + 1)
         direct = np.array([float(q @ frac_bspline(spec, 2 * x - ks)) for x in xs])
-        got = psi_frac(alpha, "causal", xs, trunc=K, tail_tol=1.0)
+        got = psi_frac(alpha, "causal", xs, trunc=K)
         assert got == pytest.approx(direct, abs=1e-12)
         dead = 2 * xs + K < 0
         assert dead.sum() >= 3 and np.all(got[dead] == 0.0)
@@ -266,6 +266,15 @@ class TestPsi:
         with pytest.raises(TruncationError):
             psi_frac(0.5, "causal", -60.0, trunc=40)
 
+    @pytest.mark.parametrize("trunc", [0, -1])
+    def test_rejects_empty_filter(self, trunc):
+        # trunc = 0 keeps only q_0, whose tail estimate reads 0; trunc < 0
+        # leaves no filter at all
+        with pytest.raises(ValueError, match="trunc"):
+            psi_frac(0.5, "causal", 0.1, trunc=trunc)
+        with pytest.raises(ValueError, match="trunc"):
+            Psi_combined(0.5, 1, "causal", 0.1, trunc=trunc)
+
     @pytest.mark.parametrize("variant", ["causal", "anticausal"])
     def test_non_finite_gives_nan(self, variant):
         # the tail estimate reads the finite points only, so a NaN beside
@@ -306,18 +315,19 @@ class TestPsiCombined:
 
     @pytest.mark.parametrize("variant", ["causal", "anticausal"])
     @pytest.mark.parametrize("alpha", [0.5, 13 / 3])
-    def test_translate_sum(self, alpha, variant):
+    def test_translate_sum(self, alpha, variant, monkeypatch):
         # Psi against its defining sum of psi translates.  The points lie on
         # a 2^-20 grid so that every translate x + t is exact and both sides
         # read the spline at the same offsets: at alpha = 13/3 the far tail
         # of beta_+ carries cancellation noise of ~1e-10 that moves with
-        # the last bit of the offset (ROADMAP item 4).  With tail_tol a
+        # the last bit of the offset (ROADMAP item 4).  With TAIL_TOL a
         # quarter of trunc times the live filter edge, the estimate trips
         # exactly where the margin is <= 1 or the natural cut fails, so at
         # x = 19 psi(x) passes while the translate psi(x + 2n) does not.
         K = 40
         q = wavelet_filter(alpha, K)
-        tol = K * abs(q[0] if variant == "causal" else q[-1]) / 4.0
+        edge_q = q[0] if variant == "causal" else q[-1]
+        monkeypatch.setattr(fw, "TAIL_TOL", K * abs(edge_q) / 4.0)
         rng = np.random.default_rng(5)
         xs = np.concatenate(
             [np.arange(-6.0, 12.0, 0.25), rng.uniform(-19.0, 13.25, 40),
@@ -326,7 +336,7 @@ class TestPsiCombined:
         xs = np.round(xs * 2.0**20) / 2.0**20
 
         def psi(x):
-            return psi_frac(alpha, variant, x, trunc=K, tail_tol=tol)
+            return psi_frac(alpha, variant, x, trunc=K)
 
         def by_sum(x, n, sign):
             lam = bl_system(n).lam
@@ -340,12 +350,12 @@ class TestPsiCombined:
         for n in (1, 2, 3):
             for sign in (1.0, -1.0):
                 expect = by_sum(xs, n, sign)
-                got = Psi_combined(alpha, n, variant, xs, trunc=K, sign=sign, tail_tol=tol)
+                got = Psi_combined(alpha, n, variant, xs, trunc=K, sign=sign)
                 assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
                 with pytest.raises(TruncationError):
                     by_sum(edge, n, sign)
                 with pytest.raises(TruncationError):
-                    Psi_combined(alpha, n, variant, edge, trunc=K, sign=sign, tail_tol=tol)
+                    Psi_combined(alpha, n, variant, edge, trunc=K, sign=sign)
 
     def test_moment_zero_by_linearity(self):
         # the combination is a fixed linear combination of translates, so
@@ -398,6 +408,17 @@ class TestMoleculeParams:
     def test_delta_window(self):
         p = molecule_params_for(2.0, 2.0, 0.25, 1.0, 5 / 3)
         assert 0.25 < p.delta <= 1.0
+
+    def test_p_range(self):
+        # J = r_w/p + (1 - 1/p): r_w at p = 1, (r_w + 1)/2 at p = 2, 1 at p = inf
+        assert molecule_params_for(1.0, 2.0, 0.0, 1.5, 5.0) == MoleculeParams(
+            delta=0.5, M=2.5, N=0, J=1.5, s=0.0)
+        assert molecule_params_for(2.0, 2.0, 0.5, 2.0, 5.0) == MoleculeParams(
+            delta=0.75, M=2.5, N=0, J=1.5, s=0.5)
+        assert molecule_params_for(math.inf, 2.0, 0.0, 3.0, 5.0).J == 1.0
+        for p in (math.nan, 0.5, -math.inf):
+            with pytest.raises(ValueError, match="p must be"):
+                molecule_params_for(p, 2.0, 0.0, 1.0, 5 / 3)
 
 
 class TestMoleculeCheck:
@@ -479,16 +500,15 @@ class TestMoleculeCheck:
         assert params.N == -1
         nat = natural_system(3)
         nu, tau = 1, 2
-        grid = tau / 2.0 + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / 2.0
         seen = []
 
         def fn(x):
             seen.append(np.size(x))
             return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
 
-        rep = molecule_check(fn, (nu, tau), params, grid=grid)
+        rep = molecule_check(fn, (nu, tau), params)
         assert {"M2", "M3", "M4"} <= set(rep.conditions)
-        assert seen == [3 * grid.size]
+        assert seen == [3 * 801]
 
     def test_single_evaluation_with_moments(self):
         # N = 0 at nu = 1: the grid and the 4800 (M1) nodes in one call
@@ -526,20 +546,11 @@ class TestMoleculeCheck:
         _assert_matches_oracle(sysf.scale_fn, (0, 0), params)
         _assert_matches_oracle(lambda x: 2.0**0.5 * sysf.wavelet_fn(2.0 * x), (1, 0), params)
 
-    def test_explicit_default_grid(self):
-        # the default grid passed as grid= takes the uncached tables
-        params = molecule_params_for(2.0, 2.0, 1.0, 1.0, 3.0)
-        nat = natural_system(3)
-        nu, tau = 1, -5
-
-        def fn(x):
-            return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
-
-        grid = tau / 2.0 + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / 2.0
-        _assert_same_conditions(
-            molecule_check(fn, (nu, tau), params, grid=grid).conditions,
-            molecule_check(fn, (nu, tau), params).conditions,
-        )
+    def test_underflowing_envelope_raises(self):
+        # (1 + 25)^-M underflows the (M4) weights at the grid's edge
+        params = MoleculeParams(delta=0.5, M=240.0, N=-1, J=1.0, s=0.0)
+        with pytest.raises(ValueError, match="underflows"):
+            molecule_check(np.zeros_like, (0, 0), params)
 
     @pytest.mark.parametrize("nu", [0, 1])
     def test_nan_value_fails(self, nu):
@@ -597,11 +608,12 @@ class TestMoleculeCheck:
     @pytest.mark.parametrize("kind", ["step", "natural"])
     def test_m4_exact_sup(self, kind):
         # s = 0: (M4) compares values (gamma = 0) with the sup of the envelope
-        # over the segment [x - h, x + h]; x_q = 0 falls strictly between
-        # grid points, at 0.3 of a grid step, off the 65-point z grid
+        # over the segment [x - h, x + h], here against a brute-force sup
+        # over 12001 points z of each segment x - h z on the reference grid
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
-        nu, x_q = 1, 0.0
-        grid = (np.arange(-120, 120) + 0.3) / (16.0 * 2.0**nu)
+        nu, tau = 1, 3
+        x_q = tau / 2.0**nu
+        grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / 2.0**nu
         if kind == "step":
             # only pairs straddling x_q differ, where the exact sup is 1
             def fn(x):
@@ -610,9 +622,9 @@ class TestMoleculeCheck:
             nat = natural_system(2)
 
             def fn(x):
-                return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x)
+                return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
 
-        ratio = molecule_check(fn, (nu, 0), params, grid=grid).conditions["M4"]["ratio"]
+        ratio = molecule_check(fn, (nu, tau), params).conditions["M4"]["ratio"]
         dz = 2.0 / 12000
         brute = self._m4_ratio_on_z(fn, grid, x_q, nu, params, np.linspace(-1.0, 1.0, 12001))
         old = self._m4_ratio_on_z(fn, grid, x_q, nu, params, np.linspace(-1.0, 1.0, 65))
@@ -623,11 +635,14 @@ class TestMoleculeCheck:
         assert brute <= ratio * (1.0 + 2.0**nu * hmax * dz / 2.0) ** params.M
         assert ratio <= old * (1.0 + 1e-12)
         if kind == "step":
-            # the stride-1 straddling pair: h = one grid step, sup = 1
+            # x_q is a grid point, so the largest ratio is the stride-1 pair
+            # (x_q + h, x_q): h = one grid step, and the segment reaches x_q
+            # at z = 1, where every z grid finds the sup 1
             h1 = grid[1] - grid[0]
             exact = 1.0 / (2.0 ** (nu / 2.0 + nu * params.delta) * h1**params.delta)
             assert ratio == pytest.approx(exact, rel=1e-12)
-            assert old > ratio * (1.0 + 1e-3)
+            assert brute == pytest.approx(exact, rel=1e-12)
+            assert old == pytest.approx(exact, rel=1e-12)
 
 
 class TestShapes:

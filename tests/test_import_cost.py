@@ -42,8 +42,8 @@ def test_certification_imports_neither_numpy_ma_nor_scipy():
 
 
 def test_cached_tables_shared_and_read_only():
-    # the default grid's tables and the (M1) rule are built once and shared
-    # by every (nu, tau) after
+    # the reference grid's tables and the (M1) rule are built once and
+    # shared by every (nu, tau) after
     params = fw.molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
     nat = fw.natural_system(3)
 
@@ -52,15 +52,15 @@ def test_cached_tables_shared_and_read_only():
             lambda x: 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau), (nu, tau), params)
 
     def misses():
-        return fw._default_grid_tables.cache_info().misses, fw._moment_rule.cache_info().misses
+        return fw._grid_tables.cache_info().misses, fw._moment_rule.cache_info().misses
 
     check(1, 0)
     before = misses()
     check(2, 5)
     check(1, -7)
     assert misses() == before
-    env, ix, iy, weight, live = fw._default_grid_tables(params.M, params.delta)
-    assert live == weight.size
-    for arr in (fw._DEFAULT_Y, env, ix, iy, weight, *fw._moment_rule(-25.0, 25.0)):
+    env, ix, iy, weight = fw._grid_tables(params.M, params.delta)
+    assert np.all(weight > 0)
+    for arr in (fw._GRID_Y, env, ix, iy, weight, *fw._moment_rule()):
         with pytest.raises(ValueError):
             arr[...] = np.zeros_like(arr)

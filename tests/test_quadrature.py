@@ -28,7 +28,7 @@ def reference_graded_breaks(a, b, per_unit=2, levels=0):
 
 
 def test_molecule_windows():
-    # the (M1) windows of molecule_check's default grid
+    # the (M1) windows of molecule_check's reference grid
     for nu in range(4):
         scale = 2.0**nu
         for tau in range(-8, 9):
