@@ -51,16 +51,6 @@ class BLSystem:
         return float(np.prod([(1.0 + r) * (1.0 - r * r) for r in self.roots]))
 
 
-def autocorrelation_symbol(n: int, omega) -> np.ndarray:
-    """P_n(w) = sum_{|j| <= n} B_{2n+1}(n+1+j) cos(jw) (real by symmetry)."""
-    omega = np.asarray(omega, dtype=float)
-    sam = bspline_integer_samples(2 * n + 1)
-    out = np.full_like(omega, float(sam[n + 1]))
-    for j in range(1, n + 1):
-        out += 2.0 * float(sam[n + 1 + j]) * np.cos(j * omega)
-    return out
-
-
 def euler_frobenius_roots(n: int) -> list[float]:
     """The n orthonormalization roots r_j(n) in (0, 1), ascending.
 
@@ -115,22 +105,6 @@ def bl_system(n: int) -> BLSystem:
     return BLSystem(n=n, roots=tuple(roots), beta_n=beta_n, lam=lam)
 
 
-def orthonormalizer(sys: BLSystem, omega) -> np.ndarray:
-    """|A_n(w)|^2 = prod_j |1 + e^{iw} r_j|^2."""
-    omega = np.asarray(omega, dtype=float)
-    out = np.ones_like(omega)
-    for r in sys.roots:
-        out *= 1.0 + r * r + 2.0 * r * np.cos(omega)
-    return out
-
-
-def factorization_residual(sys: BLSystem, n_grid: int = 1024) -> float:
-    """max_w |beta_n^2 P_n(w) - |A_n(w)|^2| over a uniform grid."""
-    om = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    lhs = sys.beta_n**2 * autocorrelation_symbol(sys.n, om)
-    return float(np.max(np.abs(lhs - orthonormalizer(sys, om))))
-
-
 def scaling_localized(sys: BLSystem, x):
     """Phi_n(x) = beta_n B_n(x) on [0, n+1]; the translate Phi_{n,k} is Phi_n(x - k)."""
     return sys.beta_n * bspline_natural(sys.n, x)
@@ -141,41 +115,42 @@ def wavelet_gamma(sys: BLSystem) -> float:
     return float(np.prod(sys.roots)) * sys.beta_n * 2.0**-sys.n * (-1.0) ** ((sys.n + 1) % 2)
 
 
-def translate_weights(sys: BLSystem, sign: float) -> np.ndarray:
+def translate_weights(sys: BLSystem) -> np.ndarray:
     """Weights w[n + j] of Psi = sum_{|j| <= n} w[n + j] f(. + j).
 
-    lambda_j / (2 (-1)^j) on f(. + j) and sign times that on f(. - j); f is
-    D = B_{2n+1}^(n+1) here and psi(. + n) in frac_wavelets.Psi_combined.
+    lambda_j / (2 (-1)^j) on both f(. + j) and f(. - j), symmetric since
+    the lambda_j are cosine weights; f is D = B_{2n+1}^(n+1) here and
+    psi(. + n) in frac_wavelets.Psi_combined.
     """
     n = sys.n
     w = np.zeros(2 * n + 1)
     for j in range(n + 1):
         lam = sys.lam[j] / (2.0 * (-1.0) ** j)
         w[n + j] += lam
-        w[n - j] += sign * lam
+        w[n - j] += lam
     return w
 
 
 @lru_cache(maxsize=64)
-def _wavelet_taps(sys: BLSystem, sign: float) -> np.ndarray:
+def _wavelet_taps(sys: BLSystem) -> np.ndarray:
     """Coefficients d_k, k = -n..2n+1, with Psi = gamma/2^n sum_k d_k B_n(u - k).
 
     D = B_{2n+1}^(n+1) = sum_{i=0}^{n+1} (-1)^i binom(n+1, i) B_n(. - i),
     so d is translate_weights reversed (the weights of D(u - t), t = -n..n)
-    convolved with that signed binomial row.  Built once per (sys, sign)
-    and returned read-only.
+    convolved with that signed binomial row.  Built once per system and
+    returned read-only.
     """
     row = [(-1.0) ** i * math.comb(sys.n + 1, i) for i in range(sys.n + 2)]
-    d = np.convolve(translate_weights(sys, sign)[::-1], row)
+    d = np.convolve(translate_weights(sys)[::-1], row)
     d.flags.writeable = False
     return d
 
 
-def wavelet_localized(sys: BLSystem, x, sign: float = 1.0):
+def wavelet_localized(sys: BLSystem, x):
     """Psi_n, the localized Battle-Lemarie wavelet.
 
     Psi(x) = gamma/2^n * sum_j lambda_j/(2 (-1)^j)
-             [D(u+j) + sign * D(u-j)],  D = B_{2n+1}^{(n+1)},  u = 2x+n.
+             [D(u+j) + D(u-j)],  D = B_{2n+1}^{(n+1)},  u = 2x+n.
 
     Every translate of D is a difference of B_n, so Psi is the order-n
     spline gamma/2^n sum_k d_k B_n(u - k) with the 3n+2 taps of
@@ -185,30 +160,6 @@ def wavelet_localized(sys: BLSystem, x, sign: float = 1.0):
     """
     u = 2.0 * np.asarray(x, dtype=float) + sys.n
     return wavelet_gamma(sys) / 2.0**sys.n * bspline_filtered(
-        sys.n, u, _wavelet_taps(sys, sign), -sys.n
+        sys.n, u, _wavelet_taps(sys), -sys.n
     )
 
-
-def _bhat_sq(omega: np.ndarray, n: int) -> np.ndarray:
-    """|B_n-hat(w)|^2 = (sin(w/2) / (w/2))^(2n+2)."""
-    half = omega / 2.0
-    core = np.ones_like(half)
-    nz = half != 0.0
-    core[nz] = np.sin(half[nz]) / half[nz]
-    return core ** (2 * n + 2)
-
-
-def orthonormality_residual(sys: BLSystem, omega: float, M: int = 64) -> float:
-    """|sum_{|m| <= M} |phi_hat(w + 2 pi m)|^2 - 1|.
-
-    phi_hat = beta_n B_hat_n / A_n; both A_n and |sin(w/2)| are
-    2 pi periodic, so the shifted terms differ only in the 1/|w + 2 pi m|
-    factors.
-    """
-    if M < 10:
-        raise ValueError("M must be >= 10")
-    ms = np.arange(-M, M + 1)
-    shifted = omega + 2.0 * math.pi * ms
-    total = float(np.sum(_bhat_sq(shifted, sys.n)))
-    denom = float(orthonormalizer(sys, np.array([omega]))[0])
-    return abs(sys.beta_n**2 * total / denom - 1.0)

@@ -12,18 +12,20 @@ the filter, so psi and Psi are each one splines.beta_plus_filtered pass.
 Their tail estimate is held to one tolerance, TAIL_TOL.  Molecule checking
 certifies the decay / moment / Hoelder conditions on one reference grid,
 the lattice k/16 on [-25, 25] in the scaled variable y = 2^nu (x - x_Q),
-with one call of the molecule (its values, the central differences of its
-derivatives and the (M1) nodes together); the grid, its envelope tables
-and the (M1) rule are the same for every (nu, tau).  The calibration of c0
-and c reads only the envelope conditions (M2)-(M4) and skips the moment
-quadrature of (M1).  A WaveletSystem is the pair (scale_fn, wavelet_fn)
-of the natural Battle-Lemarie system, divided by Lambda' and Lambda'',
-or of the fractional one, scaled by c0 and c.
+with one call of the molecule m_Q = molecule(f, Q) (its values, the
+central differences of its derivatives and the (M1) nodes together); the
+grid, its envelope tables and the (M1) rule are the same for every (nu,
+tau).  The calibration of c0 and c reads only the envelope conditions
+(M2)-(M4) and skips the moment quadrature of (M1).  A WaveletSystem is
+the pair (scale_fn, wavelet_fn) of the natural Battle-Lemarie system,
+divided by Lambda' and Lambda'', or of the fractional one, scaled by c0
+and c.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -78,6 +80,15 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     return q
 
 
+def _check_trunc(trunc) -> None:
+    """A trunc that is not an integer >= 1 raises ValueError.
+
+    Checked before wavelet_filter, whose lru_cache keys 60.0 and 60 alike.
+    """
+    if not (isinstance(trunc, numbers.Integral) and trunc >= 1):
+        raise ValueError(f"trunc must be an integer >= 1, got {trunc!r}")
+
+
 def _psi_translates(alpha, variant, x, up, trunc):
     """sum_t up[2t] psi(x + t), up the translate weights up-sampled by 2.
 
@@ -93,8 +104,7 @@ def _psi_translates(alpha, variant, x, up, trunc):
         raise ValueError("psi_frac requires non-integer alpha > 0")
     if variant not in ("causal", "anticausal"):
         raise ValueError(f"variant must be one-sided, got {variant!r}")
-    if trunc < 1:
-        raise ValueError(f"trunc must be >= 1, got {trunc}")
+    _check_trunc(trunc)
     xs = np.asarray(x, dtype=float)
     q = wavelet_filter(alpha, trunc)
     if variant == "causal":
@@ -136,13 +146,13 @@ def psi_frac(alpha: float, variant: str, x, trunc: int = 80):
     other side the omitted terms are bounded by the filter edge value times
     the lattice tail of the spline envelope.  A TruncationError means this
     bound exceeds TAIL_TOL: the requested points sit too deep in the tail
-    for this ``trunc`` (which must be >= 1).
+    for this ``trunc`` (which must be an integer >= 1).
     """
     return _psi_translates(alpha, variant, x, np.ones(1), trunc)
 
 
-def Psi_combined(alpha: float, n: int, variant: str, x, trunc: int = 80, sign: float = 1.0):
-    """Psi_±^alpha(x) = sum_j lambda_j(n)/(2 (-1)^j) [psi(x+n+j) + sign psi(x+n-j)].
+def Psi_combined(alpha: float, n: int, variant: str, x, trunc: int = 80):
+    """Psi_±^alpha(x) = sum_j lambda_j(n)/(2 (-1)^j) [psi(x+n+j) + psi(x+n-j)].
 
     The weights of psi(x + t), t = 0..2n, are battle_lemarie's
     translate_weights; up-sampled by 2 they fold into psi's filter, so Psi
@@ -153,7 +163,7 @@ def Psi_combined(alpha: float, n: int, variant: str, x, trunc: int = 80, sign: f
     if n < 1:
         raise ValueError("n must be >= 1")
     up = np.zeros(4 * n + 1)
-    up[::2] = translate_weights(bl_system(n), sign)
+    up[::2] = translate_weights(bl_system(n))
     return _psi_translates(alpha, variant, x, up, trunc)
 
 
@@ -179,6 +189,7 @@ def beta_moment(alpha: float, variant: str, i: int) -> float:
 
 def psi_moment(alpha: float, variant: str, gamma: int, trunc: int = 80) -> float:
     """int x^gamma psi(x) dx, reduced exactly to filter sums and beta moments."""
+    _check_trunc(trunc)
     q = wavelet_filter(alpha, trunc)
     ks = np.arange(-trunc, trunc + 1).astype(float)
     total = 0.0
@@ -218,6 +229,9 @@ def molecule_params_for(
     p: float, q: float, s: float, r_w: float, alpha: float
 ) -> MoleculeParams:
     """Choose (delta, M, N) for decorating order-alpha splines as molecules.
+
+    The target space is B^s_{p,q}; q is accepted for that signature and
+    does not enter.
 
     J = r_w/p + 1/p' with 1/p' = 1 - 1/p (J = r_w at p = 1, 1 at p = inf);
     N = max([J-s-1], -1);
@@ -314,12 +328,21 @@ def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
+def molecule(fn, Q: tuple[int, int]) -> Callable:
+    """The molecule m_Q of fn at Q = (nu, tau): x -> 2^(nu/2) fn(2^nu x - tau).
+
+    At Q = (0, 0) it returns fn's own values bit for bit.
+    """
+    nu, tau = Q
+    return lambda x: 2.0 ** (nu / 2.0) * fn(2.0**nu * x - tau)
+
+
 def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeReport:
     """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
 
-    ``fn`` is the candidate molecule m_Q itself (scaling included by the
-    caller) and is called once, on the grid, the central-difference points
-    and the (M1) nodes together.  D^gamma m_Q, gamma = 0..[s], is tabulated
+    ``fn`` is the candidate molecule m_Q itself, built from a function f as
+    molecule(f, Q), and is called once, on the grid, the central-difference
+    points and the (M1) nodes together.  D^gamma m_Q, gamma = 0..[s], is tabulated
     on the reference grid x_Q + y / 2^nu, y the lattice k/16 on [-25, 25],
     the derivatives as nested central differences with step 1e-5 / 2^nu.
     The envelopes are read in y, so their tables are built once per
@@ -416,7 +439,7 @@ def natural_system(n: int) -> WaveletSystem:
 
     scale_fn = scaling_localized / Lambda', with Lambda' = prod_j (1 + r_j)
     stored as bl_system's beta_n, and wavelet_fn = wavelet_localized /
-    Lambda'' (sign +).
+    Lambda''.
     """
     sys = bl_system(n)
     lam2 = sys.Lambda_dprime
@@ -468,13 +491,10 @@ def calibrate_constants(
     """
     sysu = fractional_system(alpha, variant, comb_n, trunc=trunc)
     params = replace(params, N=-1)
-
-    def m_q(nu):
-        return lambda x: 2.0 ** (nu / 2.0) * sysu.wavelet_fn(2.0**nu * x)
-
     c0 = _constant([molecule_check(sysu.scale_fn, (0, 0), params).max_envelope_ratio])
     c = _constant([
-        molecule_check(m_q(nu), (nu, 0), params).max_envelope_ratio for nu in nus if nu != 0
+        molecule_check(molecule(sysu.wavelet_fn, (nu, 0)), (nu, 0), params).max_envelope_ratio
+        for nu in nus if nu != 0
     ])
     return c0, c
 

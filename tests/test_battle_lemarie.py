@@ -7,18 +7,69 @@ from scipy.integrate import quad
 from fracbesov.battle_lemarie import (
     BLSystem,
     _wavelet_taps,
-    autocorrelation_symbol,
     bl_system,
     euler_frobenius_roots,
-    factorization_residual,
-    orthonormality_residual,
-    orthonormalizer,
     scaling_localized,
     wavelet_gamma,
     wavelet_localized,
 )
 from fracbesov.quadrature import graded_breaks, panel_rule
 from fracbesov.splines import bspline_integer_samples
+
+# Fourier-identity oracles of the filter layer: the factorization
+# beta_n^2 P_n(w) = |A_n(w)|^2 and the orthonormality of the integer
+# translates of phi = beta_n B_n / A_n, sum_m |phi_hat(w + 2 pi m)|^2 = 1
+
+
+def autocorrelation_symbol(n: int, omega) -> np.ndarray:
+    """P_n(w) = sum_{|j| <= n} B_{2n+1}(n+1+j) cos(jw) (real by symmetry)."""
+    omega = np.asarray(omega, dtype=float)
+    sam = bspline_integer_samples(2 * n + 1)
+    out = np.full_like(omega, float(sam[n + 1]))
+    for j in range(1, n + 1):
+        out += 2.0 * float(sam[n + 1 + j]) * np.cos(j * omega)
+    return out
+
+
+def orthonormalizer(sys: BLSystem, omega) -> np.ndarray:
+    """|A_n(w)|^2 = prod_j |1 + e^{iw} r_j|^2."""
+    omega = np.asarray(omega, dtype=float)
+    out = np.ones_like(omega)
+    for r in sys.roots:
+        out *= 1.0 + r * r + 2.0 * r * np.cos(omega)
+    return out
+
+
+def factorization_residual(sys: BLSystem, n_grid: int = 1024) -> float:
+    """max_w |beta_n^2 P_n(w) - |A_n(w)|^2| over a uniform grid."""
+    om = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
+    lhs = sys.beta_n**2 * autocorrelation_symbol(sys.n, om)
+    return float(np.max(np.abs(lhs - orthonormalizer(sys, om))))
+
+
+def _bhat_sq(omega: np.ndarray, n: int) -> np.ndarray:
+    """|B_n-hat(w)|^2 = (sin(w/2) / (w/2))^(2n+2)."""
+    half = omega / 2.0
+    core = np.ones_like(half)
+    nz = half != 0.0
+    core[nz] = np.sin(half[nz]) / half[nz]
+    return core ** (2 * n + 2)
+
+
+def orthonormality_residual(sys: BLSystem, omega: float, M: int = 64) -> float:
+    """|sum_{|m| <= M} |phi_hat(w + 2 pi m)|^2 - 1|.
+
+    phi_hat = beta_n B_hat_n / A_n; both A_n and |sin(w/2)| are
+    2 pi periodic, so the shifted terms differ only in the 1/|w + 2 pi m|
+    factors.
+    """
+    if M < 10:
+        raise ValueError("M must be >= 10")
+    ms = np.arange(-M, M + 1)
+    shifted = omega + 2.0 * math.pi * ms
+    total = float(np.sum(_bhat_sq(shifted, sys.n)))
+    denom = float(orthonormalizer(sys, np.array([omega]))[0])
+    return abs(sys.beta_n**2 * total / denom - 1.0)
 
 
 class TestRoots:
@@ -141,12 +192,11 @@ class TestScaling:
 
 class TestWavelet:
     def test_taps_built_once(self):
-        # the taps depend only on the frozen system and the sign
+        # the taps depend only on the frozen system
         sys = bl_system(3)
-        for sign in (1.0, -1.0):
-            taps = _wavelet_taps(sys, sign)
-            assert _wavelet_taps(sys, sign) is taps
-            assert not taps.flags.writeable
+        taps = _wavelet_taps(sys)
+        assert _wavelet_taps(sys) is taps
+        assert not taps.flags.writeable
 
     def _moments(self, sys, gmax):
         breaks = graded_breaks(-sys.n, sys.n + 1.0, per_unit=4, levels=0)

@@ -12,6 +12,7 @@ from fracbesov.frac_wavelets import (
     WaveletSystem,
     calibrate_constants,
     fractional_system,
+    molecule,
     molecule_check,
     molecule_params_for,
     natural_system,
@@ -293,6 +294,27 @@ class TestPsi:
         got = psi_frac(1.5, "causal", [0.3, np.nan])
         assert got[0] == psi_frac(1.5, "causal", 0.3) and math.isnan(got[1])
 
+    @pytest.mark.parametrize(
+        "trunc", [60.0, np.float64(60), 2.5, 0, np.int64(0), "60"], ids=repr)
+    def test_rejects_non_integer_trunc(self, trunc):
+        # every trunc that is not an integer >= 1 names trunc before the
+        # filter is built: wavelet_filter's cache keys 60.0 like the 60
+        # cached here, so a check inside it would be skipped
+        psi_frac(0.5, "causal", 0.1, trunc=60)
+        for call in (
+            lambda: psi_frac(0.5, "causal", 0.1, trunc=trunc),
+            lambda: Psi_combined(0.5, 1, "causal", 0.1, trunc=trunc),
+            lambda: fractional_system(0.5, "causal", 1, trunc=trunc).wavelet_fn(0.1),
+            lambda: psi_moment(0.5, "causal", 0, trunc=trunc),
+        ):
+            with pytest.raises(ValueError, match="trunc"):
+                call()
+
+    def test_accepts_numpy_integer_trunc(self):
+        t = np.int64(60)
+        assert psi_frac(0.5, "causal", 0.1, trunc=t) == psi_frac(0.5, "causal", 0.1, trunc=60)
+        assert psi_moment(0.5, "causal", 1, trunc=t) == psi_moment(0.5, "causal", 1, trunc=60)
+
     def test_rejects_natural_alpha(self):
         with pytest.raises(ValueError):
             psi_frac(2.0, "causal", 0.5)
@@ -338,24 +360,23 @@ class TestPsiCombined:
         def psi(x):
             return psi_frac(alpha, variant, x, trunc=K)
 
-        def by_sum(x, n, sign):
+        def by_sum(x, n):
             lam = bl_system(n).lam
             return sum(
-                lam[j] / (2.0 * (-1.0) ** j) * (psi(x + n + j) + sign * psi(x + n - j))
+                lam[j] / (2.0 * (-1.0) ** j) * (psi(x + n + j) + psi(x + n - j))
                 for j in range(n + 1)
             )
 
         edge = 19.0
         psi(edge)  # passes: only the translates of the edge trip the estimate
         for n in (1, 2, 3):
-            for sign in (1.0, -1.0):
-                expect = by_sum(xs, n, sign)
-                got = Psi_combined(alpha, n, variant, xs, trunc=K, sign=sign)
-                assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
-                with pytest.raises(TruncationError):
-                    by_sum(edge, n, sign)
-                with pytest.raises(TruncationError):
-                    Psi_combined(alpha, n, variant, edge, trunc=K, sign=sign)
+            expect = by_sum(xs, n)
+            got = Psi_combined(alpha, n, variant, xs, trunc=K)
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+            with pytest.raises(TruncationError):
+                by_sum(edge, n)
+            with pytest.raises(TruncationError):
+                Psi_combined(alpha, n, variant, edge, trunc=K)
 
     def test_moment_zero_by_linearity(self):
         # the combination is a fixed linear combination of translates, so
@@ -441,40 +462,33 @@ class TestMoleculeCheck:
         assert rep0.passes()
         assert "M1" not in rep0.conditions  # no moment condition at nu = 0
 
-        def m_q(x):
-            return 2.0 ** (1 / 2.0) * sysf.wavelet_fn(2.0 * x)
-
-        rep1 = molecule_check(m_q, (1, 0), params)
+        rep1 = molecule_check(molecule(sysf.wavelet_fn, (1, 0)), (1, 0), params)
         assert rep1.passes()
         assert rep1.conditions["M1"]["value"] < 1e-5
 
     def test_calibration_needs_no_moment_quadrature(self, monkeypatch):
         # scale factors cannot decide (M1), so the calibration runs no panel
-        # rule; the constants are those of Example 5.1 with (M1) certified
+        # rule; the constants are those of Example 5.1 with (M1) certified,
+        # bit for bit those of the x_Q = 0 molecules 2^(nu/2) Psi(2^nu x)
         def no_quadrature(*args, **kwargs):
             raise AssertionError("calibration evaluated a moment quadrature")
 
         monkeypatch.setattr("fracbesov.frac_wavelets.panel_rule", no_quadrature)
         expected = {
-            (0.0, 5 / 3): (0.20756847809520673, 0.0032335175650289477),
-            (-1 / 3, 4 / 3): (0.23035715940027968, 0.0031840907866533324),
+            (0.0, 5 / 3): (0.20756847809520673, 0.003233517565028948),
+            (-1 / 3, 4 / 3): (0.23035715940027968, 0.003184090786653334),
         }
-        for (s, alpha), (c0_ref, c_ref) in expected.items():
+        for (s, alpha), consts in expected.items():
             params = molecule_params_for(2.0, 2.0, s, 1.0, alpha)
-            c0, c = calibrate_constants(alpha, "causal", 2, params, nus=(0, 1), trunc=60)
-            assert c0 == pytest.approx(c0_ref, rel=1e-12)
-            assert c == pytest.approx(c_ref, rel=1e-12)
+            assert calibrate_constants(alpha, "causal", 2, params, nus=(0, 1), trunc=60) == consts
 
     def test_translation_covariance(self):
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 5 / 3)
         sysf = fractional_system(5 / 3, "causal", 2, trunc=60)
-        nu = 1
-
-        def m_q(tau):
-            return lambda x: 2.0 ** (nu / 2.0) * sysf.wavelet_fn(2.0**nu * x - tau)
-
-        r0 = molecule_check(m_q(0), (nu, 0), params).max_envelope_ratio
-        r3 = molecule_check(m_q(3), (nu, 3), params).max_envelope_ratio
+        r0, r3 = (
+            molecule_check(molecule(sysf.wavelet_fn, Q), Q, params).max_envelope_ratio
+            for Q in ((1, 0), (1, 3))
+        )
         assert r3 == pytest.approx(r0, rel=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -482,13 +496,10 @@ class TestMoleculeCheck:
         # s = 1 takes the central-difference branch of (M3)/(M4)
         params = molecule_params_for(2.0, 2.0, 1.0, 1.0, float(n))
         nat = natural_system(n)
-        reps = []
-        for nu, tau in ((1, 0), (2, -5)):
-
-            def m_q(x, nu=nu, tau=tau):
-                return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
-
-            reps.append(molecule_check(m_q, (nu, tau), params).conditions)
+        reps = [
+            molecule_check(molecule(nat.wavelet_fn, Q), Q, params).conditions
+            for Q in ((1, 0), (2, -5))
+        ]
         assert set(reps[0]) == set(reps[1]) >= {"M2", "M3", "M4"}
         for cond in ("M2", "M3", "M4"):
             assert reps[1][cond]["ratio"] == pytest.approx(reps[0][cond]["ratio"], rel=1e-9)
@@ -498,15 +509,14 @@ class TestMoleculeCheck:
         # difference at s = 1; N = -1 here, so there is no (M1)
         params = molecule_params_for(2.0, 2.0, 1.0, 1.0, 3.0)
         assert params.N == -1
-        nat = natural_system(3)
-        nu, tau = 1, 2
+        m_q = molecule(natural_system(3).wavelet_fn, (1, 2))
         seen = []
 
         def fn(x):
             seen.append(np.size(x))
-            return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
+            return m_q(x)
 
-        rep = molecule_check(fn, (nu, tau), params)
+        rep = molecule_check(fn, (1, 2), params)
         assert {"M2", "M3", "M4"} <= set(rep.conditions)
         assert seen == [3 * 801]
 
@@ -514,12 +524,12 @@ class TestMoleculeCheck:
         # N = 0 at nu = 1: the grid and the 4800 (M1) nodes in one call
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
         assert params.N == 0
-        nat = natural_system(3)
+        m_q = molecule(natural_system(3).wavelet_fn, (1, 3))
         seen = []
 
         def fn(x):
             seen.append(np.size(x))
-            return 2.0**0.5 * nat.wavelet_fn(2.0 * x - 3)
+            return m_q(x)
 
         rep = molecule_check(fn, (1, 3), params)
         assert {"M1", "M2", "M3", "M4"} == set(rep.conditions)
@@ -532,19 +542,14 @@ class TestMoleculeCheck:
         nat = natural_system(n)
         for nu in (0, 1, 2):
             for tau in (-8, 0, 7):
-                if nu == 0:
-                    fn = nat.scale_fn
-                else:
-                    def fn(x, nu=nu, tau=tau):
-                        return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
-
+                fn = nat.scale_fn if nu == 0 else molecule(nat.wavelet_fn, (nu, tau))
                 _assert_matches_oracle(fn, (nu, tau), params)
 
     def test_fractional_matches_x_space_oracle(self):
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 5 / 3)
         sysf = fractional_system(5 / 3, "causal", 2, trunc=60)
         _assert_matches_oracle(sysf.scale_fn, (0, 0), params)
-        _assert_matches_oracle(lambda x: 2.0**0.5 * sysf.wavelet_fn(2.0 * x), (1, 0), params)
+        _assert_matches_oracle(molecule(sysf.wavelet_fn, (1, 0)), (1, 0), params)
 
     def test_underflowing_envelope_raises(self):
         # (1 + 25)^-M underflows the (M4) weights at the grid's edge
@@ -557,11 +562,7 @@ class TestMoleculeCheck:
         # a NaN at one grid point fails the report: max(0.0, nan) is 0.0
         # and nan > 1 is False, so neither may decide it
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
-        nat = natural_system(2)
-
-        def clean(x):
-            return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x)
-
+        clean = molecule(natural_system(2).wavelet_fn, (nu, 0))
         c = 0.98 / molecule_check(clean, (nu, 0), params).max_envelope_ratio
         assert molecule_check(lambda x: c * clean(x), (nu, 0), params).passes()
 
@@ -619,10 +620,7 @@ class TestMoleculeCheck:
             def fn(x):
                 return (np.asarray(x) > x_q).astype(float)
         else:
-            nat = natural_system(2)
-
-            def fn(x):
-                return 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau)
+            fn = molecule(natural_system(2).wavelet_fn, (nu, tau))
 
         ratio = molecule_check(fn, (nu, tau), params).conditions["M4"]["ratio"]
         dz = 2.0 / 12000
@@ -645,6 +643,29 @@ class TestMoleculeCheck:
             assert old == pytest.approx(exact, rel=1e-12)
 
 
+class TestMolecule:
+    @staticmethod
+    def _functions():
+        nat, frac = natural_system(3), fractional_system(5 / 3, "causal", 2, trunc=60)
+        return [nat.scale_fn, nat.wavelet_fn, frac.scale_fn, frac.wavelet_fn]
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_matches_formula(self, nu):
+        # bit for bit the written-out 2^(nu/2) f(2^nu x - tau) on the
+        # certification grid of Q = (nu, tau)
+        rng = np.random.default_rng(16 + nu)
+        for tau in rng.integers(-200, 201, 3).tolist():
+            x = tau / 2.0**nu + fw._GRID_Y / 2.0**nu
+            for f in self._functions():
+                want = 2.0 ** (nu / 2.0) * f(2.0**nu * x - tau)
+                assert molecule(f, (nu, tau))(x).tobytes() == want.tobytes()
+
+    def test_origin_is_the_function(self):
+        x = np.concatenate([fw._GRID_Y, [-0.0, 0.3, -7.1]])
+        for f in self._functions():
+            assert molecule(f, (0, 0))(x).tobytes() == f(x).tobytes()
+
+
 class TestShapes:
     @staticmethod
     def _evaluators():
@@ -658,7 +679,7 @@ class TestShapes:
             lambda x: psi_frac(0.5, "causal", x),
             lambda x: psi_frac(5 / 3, "anticausal", x),
             lambda x: Psi_combined(5 / 3, 2, "causal", x),
-            lambda x: Psi_combined(0.5, 1, "anticausal", x, sign=-1.0),
+            lambda x: Psi_combined(0.5, 1, "anticausal", x),
             lambda x: bspline_natural(3, x),
             natural_system(2).wavelet_fn,
         ]

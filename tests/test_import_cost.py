@@ -21,13 +21,13 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SCRIPT = """
 import json, sys
-from fracbesov.frac_wavelets import molecule_check, molecule_params_for, natural_system
+from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for, natural_system
 
 nat = natural_system(3)
 for s in (0.0, 1.0):
     params = molecule_params_for(2.0, 2.0, s, 1.0, 3.0)
     molecule_check(nat.scale_fn, (0, 0), params)
-    molecule_check(lambda x: 2.0**0.5 * nat.wavelet_fn(2.0 * x - 2), (1, 2), params)
+    molecule_check(molecule(nat.wavelet_fn, (1, 2)), (1, 2), params)
 print(json.dumps(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("scipy"))))
 """
 
@@ -48,8 +48,7 @@ def test_cached_tables_shared_and_read_only():
     nat = fw.natural_system(3)
 
     def check(nu, tau):
-        fw.molecule_check(
-            lambda x: 2.0 ** (nu / 2.0) * nat.wavelet_fn(2.0**nu * x - tau), (nu, tau), params)
+        fw.molecule_check(fw.molecule(nat.wavelet_fn, (nu, tau)), (nu, tau), params)
 
     def misses():
         return fw._grid_tables.cache_info().misses, fw._moment_rule.cache_info().misses

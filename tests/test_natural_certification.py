@@ -4,15 +4,25 @@ fracbench/reference.json holds the (M2)/(M2*) ratios of molecule_check on
 the natural systems of orders 1..4 at s = 0, 1 and nu = 0, 1, 2.  The
 benchmark's bl-certify check asks for the same ratios to 1e-9 relative,
 (M1) within the moment tolerance and reports that agree across (nu, tau);
-this runs that check on the evaluators directly.
+this runs that check on the evaluators directly, and checks the agreement
+across (nu, tau) as a property over the whole range below.
 """
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracbesov.frac_wavelets import MOMENT_TOL, molecule_check, molecule_params_for, natural_system
+from fracbesov.frac_wavelets import (
+    MOMENT_TOL,
+    molecule,
+    molecule_check,
+    molecule_params_for,
+    natural_system,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "fracbench" / "reference.json"
 SEED_M2 = json.loads(REFERENCE.read_text(encoding="utf-8"))["seed_outputs"]["bl_m2"]
@@ -29,11 +39,7 @@ def report(n: int, s: int, nu: int, tau: int):
     params = molecule_params_for(2.0, 2.0, float(s), 1.0, float(n))
     if nu == 0:
         return molecule_check(sysn.scale_fn, (0, tau), params)
-
-    def m_q(x):
-        return 2.0 ** (nu / 2.0) * sysn.wavelet_fn(2.0**nu * x - tau)
-
-    return molecule_check(m_q, (nu, tau), params)
+    return molecule_check(molecule(sysn.wavelet_fn, (nu, tau)), (nu, tau), params)
 
 
 def rel(a: float, b: float) -> float:
@@ -65,3 +71,30 @@ def test_ratios_agree_across_levels(n, s):
     for name, entry in r1.conditions.items():
         if name != "M1":
             assert rel(r2.conditions[name]["ratio"], entry["ratio"]) <= REL_TOL
+
+
+CASES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)]
+
+
+@lru_cache(maxsize=None)
+def level_one(n: int, s: int):
+    return report(n, s, 1, 0)
+
+
+@settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(CASES),
+    nu=st.integers(min_value=1, max_value=4),
+    tau=st.integers(min_value=-200, max_value=200),
+)
+def test_reports_covariant_under_shift_and_dilation(case, nu, tau):
+    # at s = 0 the molecule reads f at the same y-lattice for every (nu,
+    # tau), so only 2^(nu/2) and its inverse round; at s = 1 the central
+    # difference's step rounds in x, within the benchmark's 1e-9
+    n, s = case
+    ref, rep = level_one(n, s), report(n, s, nu, tau)
+    tol = 1e-12 if s == 0 else REL_TOL
+    assert set(rep.conditions) == set(ref.conditions)
+    for name, entry in ref.conditions.items():
+        if name != "M1":
+            assert rel(rep.conditions[name]["ratio"], entry["ratio"]) <= tol
