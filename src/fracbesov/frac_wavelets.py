@@ -18,8 +18,8 @@ grid, its envelope tables and the (M1) rule are the same for every (nu,
 tau).  The calibration of c0 and c reads only the envelope conditions
 (M2)-(M4) and skips the moment quadrature of (M1).  A WaveletSystem is
 the pair (scale_fn, wavelet_fn) of the natural Battle-Lemarie system,
-divided by Lambda' and Lambda'', or of the fractional one, scaled by c0
-and c.
+divided by Lambda' and Lambda'' in closed form, or of the fractional one,
+scaled by c0 and c.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 
 from .battle_lemarie import bl_system, scaling_localized, translate_weights
 from .battle_lemarie import wavelet_localized
-from .quadrature import graded_breaks, panel_rule
 from .specfun import gbinom_row
 from .splines import (
     FractionalSpline,
@@ -158,12 +157,12 @@ def Psi_combined(alpha: float, n: int, variant: str, x, trunc: int = 80):
     translate_weights; up-sampled by 2 they fold into psi's filter, so Psi
     is one beta_plus_filtered pass on the input's own points.  The
     TruncationError estimate is psi_frac's over [min x, max x + 2n], held
-    to the same TAIL_TOL.
+    to the same TAIL_TOL.  bl_system raises ValueError unless n is an
+    integer in 1..8.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    up = np.zeros(4 * n + 1)
-    up[::2] = translate_weights(bl_system(n))
+    sys = bl_system(n)
+    up = np.zeros(4 * sys.n + 1)
+    up[::2] = translate_weights(sys)
     return _psi_translates(alpha, variant, x, up, trunc)
 
 
@@ -240,6 +239,9 @@ def molecule_params_for(
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    for name, value in (("s", s), ("r_w", r_w), ("alpha", alpha)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     J = r_w / p + (1.0 - 1.0 / p)
     N = max(math.floor(J - s - 1.0), -1)
     frac_s = s - math.floor(s)
@@ -314,16 +316,34 @@ def _grid_tables(M: float, delta: float) -> tuple:
     return tables
 
 
+@lru_cache(maxsize=32)
+def _gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(npts)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def panel_rule(breaks: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights for the panels defined by ``breaks``."""
+    breaks = np.asarray(breaks, dtype=float)
+    x, w = _gl_rule(npts)
+    a = breaks[:-1]
+    h = np.diff(breaks)
+    nodes = a[:, None] + (x[None, :] + 1.0) * (h[:, None] / 2.0)
+    weights = np.broadcast_to(w[None, :], nodes.shape) * (h[:, None] / 2.0)
+    return nodes.ravel(), weights.ravel()
+
+
 @lru_cache(maxsize=1)
 def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
     """(M1) nodes and weights in y over the grid's range [-25, 25], read-only.
 
-    12-point panels split at the half-integers and graded twice toward
-    each: in x = x_Q + y / 2^nu these are the breaks k / 2^(nu+1) of the
-    x-space rule, since x_Q = tau / 2^nu lies on that lattice.
+    12-point Gauss-Legendre panels between neighbours of the uniform
+    lattice k/8, every other grid point, so every half-integer of y is a
+    panel end, and so is every k / 2^(nu+1) of x = x_Q + y / 2^nu, since
+    x_Q = tau / 2^nu lies on that lattice.
     """
-    breaks = graded_breaks(float(_GRID_Y[0]), float(_GRID_Y[-1]), per_unit=2, levels=2)
-    nodes, wts = panel_rule(breaks, 12)
+    nodes, wts = panel_rule(_GRID_Y[::2], 12)
     nodes.flags.writeable = wts.flags.writeable = False
     return nodes, wts
 
@@ -348,9 +368,10 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     The envelopes are read in y, so their tables are built once per
     (M, delta) (_grid_tables), and every ratio is max |D^gamma m_Q| / table
     times 2^(-nu/2 - nu gamma).  (M4) reads the grid pairs of strides 1, 4,
-    16, 64.  (M1) takes a graded 12-point panel rule over the grid's range,
-    built once; it is void for N < 0.  Each condition maps to its "value"
-    and "ratio"; report-only: ratios > 1 mean the condition fails.
+    16, 64.  (M1) takes a 12-point panel rule on the lattice k/8 over the
+    grid's range, built once; it is void for N < 0.  Each condition maps
+    to its "value" and "ratio"; report-only: ratios > 1 mean the condition
+    fails.
     """
     nu, tau = Q
     x_q = tau / 2.0**nu
@@ -437,15 +458,13 @@ class WaveletSystem(NamedTuple):
 def natural_system(n: int) -> WaveletSystem:
     """The localized Battle-Lemarie pair of order n over Lambda' and Lambda''.
 
-    scale_fn = scaling_localized / Lambda', with Lambda' = prod_j (1 + r_j)
-    stored as bl_system's beta_n, and wavelet_fn = wavelet_localized /
-    Lambda''.
+    scale_fn is B_n and wavelet_fn kappa_n times an order-n spline, both in
+    closed form from bl_system's exact integers (battle_lemarie).
     """
     sys = bl_system(n)
-    lam2 = sys.Lambda_dprime
     return WaveletSystem(
-        lambda x: scaling_localized(sys, x) / sys.beta_n,
-        lambda x: wavelet_localized(sys, x) / lam2,
+        lambda x: scaling_localized(sys, x),
+        lambda x: wavelet_localized(sys, x),
     )
 
 

@@ -40,7 +40,7 @@ class TruncationError(RuntimeError):
 class FractionalSpline:
     """A one-sided fractional B-spline beta^alpha translated by shift_k.
 
-    alpha > 0; variant is "causal" (beta_+^alpha, zero left of shift_k) or
+    0 < alpha < inf; variant is "causal" (beta_+^alpha, zero left of shift_k) or
     "anticausal" (its reflection, zero right of shift_k).
     """
 
@@ -49,8 +49,8 @@ class FractionalSpline:
     shift_k: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 

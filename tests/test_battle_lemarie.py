@@ -1,24 +1,115 @@
 import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracbesov.battle_lemarie import (
-    BLSystem,
     _wavelet_taps,
     bl_system,
-    euler_frobenius_roots,
     scaling_localized,
-    wavelet_gamma,
     wavelet_localized,
 )
-from fracbesov.quadrature import graded_breaks, panel_rule
-from fracbesov.splines import bspline_integer_samples
+from fracbesov.frac_wavelets import natural_system, panel_rule
+from fracbesov.splines import bspline_filtered, bspline_integer_samples, bspline_natural
+from test_quadrature import graded_breaks
 
-# Fourier-identity oracles of the filter layer: the factorization
-# beta_n^2 P_n(w) = |A_n(w)|^2 and the orthonormality of the integer
-# translates of phi = beta_n B_n / A_n, sum_m |phi_hat(w + 2 pi m)|^2 = 1
+# The root factorization of the filter layer, the independent reference of
+# bl_system's closed form: z^n P_n(z) = prod_j (z + r_j)(z + 1/r_j) / (2n+1)!
+# with r_j in (0, 1), beta_n = Lambda' = prod_j (1 + r_j), gamma_n =
+# (-1)^(n+1) beta_n prod_j r_j 2^-n and Lambda'' = prod_j (1 + r_j)(1 - r_j^2).
+# Its Fourier-identity oracles: the factorization beta_n^2 P_n(w) =
+# |A_n(w)|^2 and the orthonormality of the integer translates of phi =
+# beta_n B_n / A_n, sum_m |phi_hat(w + 2 pi m)|^2 = 1
+
+
+def euler_frobenius_roots(n: int) -> list[float]:
+    """The n orthonormalization roots r_j(n) in (0, 1), ascending.
+
+    Found as magnitudes of the negative eigen-roots of the Laurent symbol
+    z^n P_n(z) (companion-matrix eigenvalues via numpy, one Newton polish).
+    """
+    sam = bspline_integer_samples(2 * n + 1)
+    # polynomial coefficients a_0..a_{2n}, a_m = B_{2n+1}(m+1), exact rationals
+    coeffs = [float(sam[m + 1]) for m in range(2 * n + 1)]
+    roots = np.roots(coeffs[::-1])
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    inside = sorted(-real[(real < 0) & (real > -1)])
+    assert len(inside) == n, f"expected {n} roots in (0,1), found {len(inside)}"
+
+    def horner(z: float) -> tuple[float, float]:
+        p, dp = 0.0, 0.0
+        for c in reversed(coeffs):
+            dp = dp * z + p
+            p = p * z + c
+        return p, dp
+
+    polished = []
+    for r in inside:
+        z = -r
+        for _ in range(2):
+            p, dp = horner(z)
+            if dp != 0.0:
+                z -= p / dp
+        polished.append(-z)
+        assert abs(horner(z)[0]) <= 1e-10
+    return polished
+
+
+@dataclass(frozen=True)
+class RootSystem:
+    """Order n, its roots r_j and the three products built from them."""
+
+    n: int
+    roots: tuple[float, ...]
+    beta_n: float
+    gamma_n: float
+    Lambda_dprime: float
+
+
+@lru_cache(maxsize=None)
+def root_system(n: int) -> RootSystem:
+    roots = euler_frobenius_roots(n)
+    beta_n = float(np.prod([1.0 + r for r in roots]))
+    gamma_n = float(np.prod(roots)) * beta_n * 2.0**-n * (-1.0) ** ((n + 1) % 2)
+    lam2 = float(np.prod([(1.0 + r) * (1.0 - r * r) for r in roots]))
+    return RootSystem(n, tuple(roots), beta_n, gamma_n, lam2)
+
+
+def root_pair(n: int, x):
+    """The localized pair over Lambda' and Lambda'' in the root form:
+    beta_n B_n / beta_n and gamma_n 2^-n S / Lambda'', S the wavelet's
+    unnormalized spline."""
+    ref = root_system(n)
+    x = np.asarray(x, dtype=float)
+    s = bspline_filtered(n, 2.0 * x + n, _wavelet_taps(bl_system(n)), -n)
+    return (ref.beta_n * bspline_natural(n, x) / ref.beta_n,
+            ref.gamma_n / 2.0**n * s / ref.Lambda_dprime)
+
+
+def tangent_numbers(count: int) -> list[int]:
+    """T_1, T_3, ..., T_{2 count - 1} from the Seidel-Entringer boustrophedon.
+
+    Its row k ends in the zigzag number E_k; the odd ones are the tangent
+    numbers 1, 2, 16, 272, ...
+    """
+    row, zigzag = [1], [1]
+    for k in range(1, 2 * count):
+        nxt = [0]
+        for m in range(1, k + 1):
+            nxt.append(nxt[-1] + row[k - m])
+        row = nxt
+        zigzag.append(row[-1])
+    return zigzag[1::2]
+
+
+# TANGENT[n] = T_{2n+1}, n = 0..8
+TANGENT = tangent_numbers(9)
 
 
 def autocorrelation_symbol(n: int, omega) -> np.ndarray:
@@ -31,7 +122,7 @@ def autocorrelation_symbol(n: int, omega) -> np.ndarray:
     return out
 
 
-def orthonormalizer(sys: BLSystem, omega) -> np.ndarray:
+def orthonormalizer(sys: RootSystem, omega) -> np.ndarray:
     """|A_n(w)|^2 = prod_j |1 + e^{iw} r_j|^2."""
     omega = np.asarray(omega, dtype=float)
     out = np.ones_like(omega)
@@ -40,7 +131,7 @@ def orthonormalizer(sys: BLSystem, omega) -> np.ndarray:
     return out
 
 
-def factorization_residual(sys: BLSystem, n_grid: int = 1024) -> float:
+def factorization_residual(sys: RootSystem, n_grid: int = 1024) -> float:
     """max_w |beta_n^2 P_n(w) - |A_n(w)|^2| over a uniform grid."""
     om = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
     lhs = sys.beta_n**2 * autocorrelation_symbol(sys.n, om)
@@ -56,7 +147,7 @@ def _bhat_sq(omega: np.ndarray, n: int) -> np.ndarray:
     return core ** (2 * n + 2)
 
 
-def orthonormality_residual(sys: BLSystem, omega: float, M: int = 64) -> float:
+def orthonormality_residual(sys: RootSystem, omega: float, M: int = 64) -> float:
     """|sum_{|m| <= M} |phi_hat(w + 2 pi m)|^2 - 1|.
 
     phi_hat = beta_n B_hat_n / A_n; both A_n and |sin(w/2)| are
@@ -93,12 +184,12 @@ class TestRoots:
 
     def test_factorization_residual(self):
         for n in range(1, 6):
-            assert factorization_residual(bl_system(n)) <= 1e-9
+            assert factorization_residual(root_system(n)) <= 1e-9
 
     def test_beta_recovered_from_roots(self):
         # beta_n = 2^n sqrt(prod alpha_j r_j) with alpha_j = (r_j+1)^2/(4 r_j)
         for n in (1, 2, 3, 4):
-            sys = bl_system(n)
+            sys = root_system(n)
             prod = 1.0
             for r in sys.roots:
                 prod *= (r + 1.0) ** 2 / (4.0 * r) * r
@@ -139,15 +230,15 @@ class TestLambda:
     def test_grid_residual(self):
         # prod_j r_j (rho_j - 2 cos t) must equal |script-A_n(t)|^2
         for n in range(1, 6):
-            sys = bl_system(n)
+            roots = root_system(n).roots
             t = np.linspace(0.0, 2.0 * math.pi, 257)
             direct = np.ones_like(t)
-            for r in sys.roots:
+            for r in roots:
                 direct *= 1.0 + r * r - 2.0 * r * np.cos(t)
             expansion = np.zeros_like(t)
-            for j, l in enumerate(sys.lam):
+            for j, l in enumerate(bl_system(n).lam):
                 expansion += (-1.0) ** j * l * np.cos(j * t)
-            expansion *= np.prod(sys.roots)
+            expansion *= np.prod(roots)
             assert np.max(np.abs(direct - expansion)) <= 1e-10
 
     def test_system_is_built_once(self):
@@ -155,15 +246,73 @@ class TestLambda:
 
     def test_positivity_constants(self):
         for n in range(1, 7):
-            sys = bl_system(n)
+            sys = root_system(n)
             assert sys.beta_n > 0
             assert sys.Lambda_dprime > 0
+            # so kappa_n has gamma_n's sign (-1)^(n+1)
+            assert math.copysign(1.0, bl_system(n).kappa) == (-1.0) ** (n + 1)
+
+
+class TestKappa:
+    def test_alternating_sum_is_tangent_number(self):
+        # sum_j (-1)^j lambda_j = prod_j (rho_j - 2) = T_{2n+1}, exactly
+        assert TANGENT[:4] == [1, 2, 16, 272]
+        for n in range(1, 9):
+            lam = bl_system(n).lam
+            assert sum((-1) ** j * int(l) for j, l in enumerate(lam)) == TANGENT[n]
+
+    def test_products_at_plus_and_minus_one(self):
+        # the Laurent form at z = 1 and z = -1, on the root oracle
+        for n in range(1, 9):
+            rho = [r + 1.0 / r for r in root_system(n).roots]
+            fact = math.factorial(2 * n + 1)
+            assert math.prod(p + 2.0 for p in rho) == pytest.approx(fact, rel=1e-12)
+            assert math.prod(p - 2.0 for p in rho) == pytest.approx(TANGENT[n], rel=1e-12)
+
+    def test_matches_root_products(self):
+        # kappa_n = gamma_n 2^-n / Lambda''; at n = 8 the gap, 2.1e-14, is
+        # the root finder's
+        for n in range(1, 9):
+            ref = root_system(n)
+            want = ref.gamma_n * 2.0**-n / ref.Lambda_dprime
+            assert bl_system(n).kappa == pytest.approx(want, rel=1e-13)
+
+    def test_squared_is_exact(self):
+        # kappa_n^2 = 1 / (16^n (2n+1)! T_{2n+1}) to a few roundings
+        for n in range(1, 9):
+            exact = Fraction(1, 16**n * math.factorial(2 * n + 1) * TANGENT[n])
+            assert bl_system(n).kappa ** 2 == pytest.approx(float(exact), rel=2e-15)
+
+
+@lru_cache(maxsize=None)
+def _pair_scales(n: int) -> tuple[float, float]:
+    """The largest |value| of each root-form function on a fine grid."""
+    pair = root_pair(n, np.linspace(-n, n + 1.0, 4001))
+    return tuple(float(np.max(np.abs(f))) for f in pair)
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    u=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+)
+def test_natural_pair_matches_root_form(n, u):
+    # at x in [-n - 1, n + 2], over the supports of both functions and past
+    # them, to 1e-13 of each function's largest value
+    x = -n - 1.0 + (2.0 * n + 3.0) * np.asarray(u)
+    nat = natural_system(n)
+    ref_scale, ref_wavelet = root_pair(n, x)
+    top_scale, top_wavelet = _pair_scales(n)
+    assert np.max(np.abs(nat.scale_fn(x) - ref_scale)) <= 1e-13 * top_scale
+    assert np.max(np.abs(nat.wavelet_fn(x) - ref_wavelet)) <= 1e-13 * top_wavelet
 
 
 class TestScaling:
     def test_peak_value(self):
-        sys = bl_system(1)
-        assert scaling_localized(sys, 1.0) == pytest.approx(sys.beta_n, rel=1e-14)
+        # B_1 peaks at 1 with value 1: Phi_1 = beta_1 B_1 over Lambda' = beta_1
+        ref = root_system(1)
+        got = ref.beta_n * scaling_localized(bl_system(1), 1.0)
+        assert got == pytest.approx(ref.beta_n, rel=1e-14)
 
     def test_support(self):
         # Phi_{2,3}(x) = Phi_2(x - 3) is supported on [3, 6]
@@ -173,21 +322,22 @@ class TestScaling:
         assert scaling_localized(sys, 4.0 - 3) > 0.0
 
     def test_integral_is_beta(self):
-        sys = bl_system(2)
+        # Phi_n = Lambda' scaling_localized integrates to beta_n
+        sys, beta = bl_system(2), root_system(2).beta_n
         val = sum(
-            quad(lambda t: float(scaling_localized(sys, t)), m, m + 1)[0]
+            quad(lambda t: beta * float(scaling_localized(sys, t)), m, m + 1)[0]
             for m in range(3)
         )
-        assert val == pytest.approx(sys.beta_n, abs=1e-10)
+        assert val == pytest.approx(beta, abs=1e-10)
 
     def test_half_shift_family(self):
         # substituting B_n(x + 1/2) shifts the localized functions by 1/2
-        sys = bl_system(2)
+        sys, beta = bl_system(2), root_system(2).beta_n
         xs = np.linspace(-1, 4, 23)
-        shifted = sys.beta_n * np.asarray(
-            [float(scaling_localized(sys, x + 0.5)) / sys.beta_n for x in xs]
+        shifted = beta * np.asarray(
+            [float(scaling_localized(sys, x + 0.5)) for x in xs]
         )
-        assert np.allclose(shifted, scaling_localized(sys, xs + 0.5), atol=1e-12)
+        assert np.allclose(shifted, beta * scaling_localized(sys, xs + 0.5), atol=1e-12)
 
 
 class TestWavelet:
@@ -233,10 +383,10 @@ class TestWavelet:
 
     def test_inverse_fourier_oracle_n1(self):
         # assemble Psi-hat from the localized-wavelet transform and invert
-        # numerically on a 10-point grid
-        sys = bl_system(1)
+        # numerically on a 10-point grid; Psi = Lambda'' wavelet_localized
+        sys, ref = bl_system(1), root_system(1)
         n = sys.n
-        gam = wavelet_gamma(sys)
+        gam = ref.gamma_n
 
         def psi_hat(om: np.ndarray) -> np.ndarray:
             lam_sum = np.zeros_like(om, dtype=complex)
@@ -258,24 +408,24 @@ class TestWavelet:
             # real signal: (1/pi) * Re int_0^inf Psi-hat e^{i w x} dw
             val = float(np.dot(wts, (ph * np.exp(1j * nodes * x)).real)) / math.pi
             assert val == pytest.approx(
-                float(wavelet_localized(sys, x)), abs=3e-4
+                ref.Lambda_dprime * float(wavelet_localized(sys, x)), abs=3e-4
             )
 
 
 class TestOrthonormality:
     def test_levels(self):
         for n, om in [(1, math.pi / 3.0), (2, 1.0)]:
-            assert orthonormality_residual(bl_system(n), om, 64) <= 1e-6
+            assert orthonormality_residual(root_system(n), om, 64) <= 1e-6
 
     def test_omega_zero(self):
-        assert orthonormality_residual(bl_system(1), 0.0, 64) <= 1e-8
+        assert orthonormality_residual(root_system(1), 0.0, 64) <= 1e-8
 
     def test_32_point_sweep(self):
         for n in (1, 2):
-            sys = bl_system(n)
+            sys = root_system(n)
             for om in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False):
                 assert orthonormality_residual(sys, float(om), 64) <= 1e-6
 
     def test_m_precondition(self):
         with pytest.raises(ValueError):
-            orthonormality_residual(bl_system(1), 1.0, 5)
+            orthonormality_residual(root_system(1), 1.0, 5)

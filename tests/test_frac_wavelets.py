@@ -16,11 +16,11 @@ from fracbesov.frac_wavelets import (
     molecule_check,
     molecule_params_for,
     natural_system,
+    panel_rule,
     psi_frac,
     psi_moment,
     wavelet_filter,
 )
-from fracbesov.quadrature import _gl_rule, graded_breaks, panel_rule
 from fracbesov.splines import (
     FractionalSpline,
     TruncationError,
@@ -30,6 +30,8 @@ from fracbesov.splines import (
     frac_bspline_derivative,
 )
 from fracbesov.specfun import gbinom_row
+from test_battle_lemarie import root_pair, root_system
+from test_quadrature import graded_breaks
 
 
 def _x_space_conditions(fn, Q, params):
@@ -159,7 +161,7 @@ class TestFilter:
         # the cached filter, its symmetric samples and the Gauss rule are
         # shared by every caller: an in-place write must not reach the cache
         before = psi_frac(0.5, "causal", 0.3, trunc=60)
-        shared = (wavelet_filter(0.5, 60), beta_star_integer_samples(2.0, 170), *_gl_rule(12))
+        shared = (wavelet_filter(0.5, 60), beta_star_integer_samples(2.0, 170), *fw._gl_rule(12))
         for arr in shared:
             with pytest.raises(ValueError):
                 arr *= 2.0
@@ -406,6 +408,29 @@ class TestPsiCombined:
                 (-1.0) ** j * sys.lam[j] * math.cos(j * om) for j in range(n + 1)
             )
             assert abs(f_Psi - transfer * f_psi) < 2e-4
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: FractionalSpline(alpha=math.nan), "alpha"),
+        (lambda: FractionalSpline(alpha=math.inf), "alpha"),
+        (lambda: molecule_params_for(2.0, 2.0, 0.0, 1.0, math.nan), "alpha"),
+        (lambda: molecule_params_for(2.0, 2.0, math.nan, 1.0, 2.0), "s"),
+        (lambda: molecule_params_for(2.0, 2.0, 0.0, math.inf, 2.0), "r_w"),
+        # the cache of bl_system(2) does not answer for 2.0 or True == 1
+        (lambda: (bl_system(2), bl_system(2.0)), "n"),
+        (lambda: (bl_system(1), bl_system(True)), "n"),
+        (lambda: bl_system(9), "n"),
+        (lambda: Psi_combined(5 / 3, 2.0, "causal", 0.3), "n"),
+        (lambda: natural_system(0), "n"),
+    ],
+    ids=["spline-nan", "spline-inf", "params-alpha", "params-s", "params-r_w",
+         "bl-float", "bl-bool", "bl-9", "combined-float", "natural-0"],
+)
+def test_bad_argument_raises_naming_it(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call()
 
 
 class TestMoleculeParams:
@@ -711,27 +736,27 @@ class TestShapes:
 class TestWaveletSystem:
     def test_natural_normalization(self):
         nat = natural_system(1)
-        sys = bl_system(1)
+        beta = root_system(1).beta_n
         x = np.array([0.5, 1.2])
         # scale_fn * Lambda' is the localized beta_n B_1, B_1 the hat on
         # [0, 2]; Lambda' = prod_j (1 + r_j) is beta_n
-        assert nat.scale_fn(x) * sys.beta_n == pytest.approx(
-            sys.beta_n * np.array([0.5, 0.8])
-        )
+        assert nat.scale_fn(x) * beta == pytest.approx(beta * np.array([0.5, 0.8]))
 
     def test_fields(self):
         assert WaveletSystem._fields == ("scale_fn", "wavelet_fn")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_natural_pair(self, n):
-        # the localized pair over Lambda' = beta_n and Lambda'', bit for bit
+        # the closed-form pair, bit for bit, which is the localized pair over
+        # Lambda' and Lambda'' of the root oracle to 1e-13 of its largest value
         nat = natural_system(n)
         sys = bl_system(n)
         for x in (0.7, np.linspace(-5.0, 6.0, 23), np.array([[0.3, 1.7], [-0.4, 2.25]])):
-            assert np.array_equal(nat.scale_fn(x), scaling_localized(sys, x) / sys.beta_n)
-            assert np.array_equal(
-                nat.wavelet_fn(x), wavelet_localized(sys, x) / sys.Lambda_dprime
-            )
+            assert np.array_equal(nat.scale_fn(x), scaling_localized(sys, x))
+            assert np.array_equal(nat.wavelet_fn(x), wavelet_localized(sys, x))
+        x = np.linspace(-n, n + 1.0, 401)
+        for got, ref in zip(nat, root_pair(n, x)):
+            assert np.max(np.abs(got(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("variant", ["causal", "anticausal"])
     def test_fractional_pair(self, variant):

@@ -1,12 +1,15 @@
-"""What molecule_check imports, and the caches it shares between calls.
+"""What molecule_check imports and calls, and the caches it shares between calls.
 
 The first call of np.unique imports numpy.ma, 1.6 MB of peak RSS, and
 importing scipy.special takes longer than a whole benchmark set-up, so
-neither may be reached from the natural certification path.  The check
-runs in a fresh interpreter, where no other test has imported them.
+neither may be reached from the natural certification path.  The natural
+systems are built from exact integers in closed form, so no root or
+eigenvalue solver may be reached either.  The checks run in a fresh
+interpreter, where no other test has imported or cached anything.
 """
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -39,6 +42,40 @@ def test_certification_imports_neither_numpy_ma_nor_scipy():
         timeout=120, check=True,
     )
     assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+SOLVER_FREE = """
+import json
+import numpy as np
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a root or eigenvalue solver was called")
+
+np.roots = np.linalg.eig = np.linalg.eigvals = refuse
+from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for, natural_system
+
+for n in range(1, 9):
+    nat = natural_system(n)
+    nat.scale_fn(np.linspace(-1.0, n + 2.0, 7)), nat.wavelet_fn(np.linspace(-n, n + 1.0, 7))
+# one case of the benchmark's bl-certify: order 2 at s = 0, nu = 0 and 1
+nat, params = natural_system(2), molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
+reports = [molecule_check(nat.scale_fn, (0, 0), params),
+           molecule_check(molecule(nat.wavelet_fn, (1, 3)), (1, 3), params)]
+print(json.dumps({name: [entry["value"], entry["ratio"]]
+                  for rep in reports for name, entry in rep.conditions.items()}))
+"""
+
+
+def test_natural_systems_call_no_solver():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", SOLVER_FREE], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    conditions = json.loads(out.stdout.splitlines()[-1])
+    assert sorted(conditions) == ["M1", "M2", "M2*", "M3", "M4", "M4*"]
+    assert conditions["M1"][0] <= fw.MOMENT_TOL
+    assert all(math.isfinite(v) for entry in conditions.values() for v in entry if v is not None)
 
 
 def test_cached_tables_shared_and_read_only():

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from fracbesov.battle_lemarie import bl_system, wavelet_gamma, wavelet_localized
+from fracbesov.battle_lemarie import bl_system, wavelet_localized
 from fracbesov.splines import (
     FractionalSpline,
     _bspline_pieces_exact,
@@ -135,7 +135,7 @@ def test_derivative_matches_exact():
 
 
 def exact_wavelet(sys, x):
-    """gamma/2^n sum_j lambda_j/(2 (-1)^j) [D(u+j) + D(u-j)], D exact."""
+    """sum_j lambda_j/(2 (-1)^j) [D(u+j) + D(u-j)], D exact: wavelet_localized / kappa_n."""
     n = sys.n
     row = [(-1) ** i * math.comb(n + 1, i) for i in range(n + 2)]
     u = 2 * np.asarray(x) + n
@@ -143,7 +143,7 @@ def exact_wavelet(sys, x):
     for j in range(n + 1):
         w = sys.lam[j] / (2.0 * (-1.0) ** j)
         acc += w * (exact_filtered(n, u + j, row, 0) + exact_filtered(n, u - j, row, 0))
-    return wavelet_gamma(sys) / 2.0**n * acc
+    return acc
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -151,7 +151,7 @@ def test_wavelet_matches_exact(n):
     sys = bl_system(n)
     x = dyadic_points(-n - 2, n + 3)
     ref = exact_wavelet(sys, x)
-    assert rel_err(wavelet_localized(sys, x), ref) <= 1e-12
+    assert rel_err(wavelet_localized(sys, x) / sys.kappa, ref) <= 1e-12
     assert type(wavelet_localized(bl_system(n), np.array(0.25))) is float
 
 

@@ -1,9 +1,40 @@
-"""graded_breaks against the set-based construction it replaced."""
+"""graded_breaks, the panel breaks of the quadrature oracles in tests/,
+against the set-based construction it replaced."""
 
 import numpy as np
 import pytest
 
-from fracbesov.quadrature import graded_breaks
+from fracbesov import frac_wavelets as fw
+
+
+def graded_breaks(
+    a: float, b: float, per_unit: int = 2, levels: int = 0
+) -> np.ndarray:
+    """Panel breakpoints on [a, b].
+
+    Breaks sit on the 1/per_unit lattice (so spline knots at integers or
+    half-integers are panel ends) and - when ``levels`` > 0 - on a
+    geometric cascade of width ratios 1/2 on both sides of each lattice
+    point: the offsets +-2^-g / per_unit, g = 1..levels, broadcast over the
+    lattice and kept strictly inside (a, b).  Grading makes a fixed-order
+    Gauss rule accurate for |x - knot|^alpha kinks.  The points are sorted
+    and every point within 1e-13 of its predecessor is dropped, which also
+    removes exact repeats.
+    """
+    if not b > a:
+        raise ValueError(f"empty interval [{a}, {b}]")
+    lattice = offsets = np.empty(0)
+    if per_unit > 0:
+        lo = int(np.ceil(a * per_unit))
+        hi = int(np.floor(b * per_unit))
+        lattice = np.arange(lo, hi + 1) / per_unit
+        steps = 0.5 ** np.arange(1, levels + 1)
+        offsets = np.concatenate([-steps, steps]) / per_unit
+    graded = (lattice[:, None] + offsets).ravel()
+    graded = graded[(a < graded) & (graded < b)]
+    out = np.sort(np.concatenate([[a, b], lattice, graded]))
+    keep = np.concatenate([[True], np.diff(out) > 1e-13])
+    return out[keep]
 
 
 def reference_graded_breaks(a, b, per_unit=2, levels=0):
@@ -28,7 +59,7 @@ def reference_graded_breaks(a, b, per_unit=2, levels=0):
 
 
 def test_molecule_windows():
-    # the (M1) windows of molecule_check's reference grid
+    # the (M1) windows of test_frac_wavelets' x-space reference report
     for nu in range(4):
         scale = 2.0**nu
         for tau in range(-8, 9):
@@ -62,3 +93,13 @@ def test_random_intervals():
 def test_empty_interval():
     with pytest.raises(ValueError):
         graded_breaks(1.0, 1.0)
+
+
+def test_moment_rule_lattice():
+    # per_unit = 2 with two cascade levels is the uniform lattice k/8, every
+    # other point of the reference grid: (M1)'s rule is bit for bit the one
+    # built on graded breaks
+    breaks = graded_breaks(-25.0, 25.0, per_unit=2, levels=2)
+    assert np.array_equal(breaks, fw._GRID_Y[::2])
+    for got, want in zip(fw._moment_rule(), fw.panel_rule(breaks, 12)):
+        assert np.array_equal(got, want)
