@@ -25,10 +25,11 @@ No root is computed: the root factorization is the independent reference
 of tests/test_battle_lemarie.py.  Orders run to 8, where the largest
 lambda_j (1.7e14) is still an exact float; at n = 9 it is 5.6e16 > 2^53.
 
-The wavelet is a spline of order n on the integers of u: one
-splines.bspline_filtered pass with a 3n+2 tap filter, which folds the taps
-into the pp-form coefficients of its 4n+2 intervals once per call and
-takes n Horner steps per point.  Translates take x - k.
+The wavelet is a spline of order n on the integers of u with a 3n+2 tap
+filter.  Its taps are folded into the pp-form coefficients of its 4n+2
+intervals once per system (splines.bspline_ppform); each call evaluates
+that table only at the points inside the support, n Horner steps per
+point.  Translates take x - k.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ import numpy as np
 # bspline_derivative is re-exported with the layer's other spline
 # evaluators; fracbench's tracer wraps battle_lemarie.bspline_derivative
 from .splines import (  # noqa: F401
+    PPForm,
     bspline_derivative,
-    bspline_filtered,
     bspline_integer_samples,
     bspline_natural,
+    bspline_ppform,
+    ppform_eval,
 )
 
 
@@ -99,29 +102,33 @@ def translate_weights(sys: BLSystem) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=64)
 def _wavelet_taps(sys: BLSystem) -> np.ndarray:
     """Coefficients d_k, k = -n..2n+1, with sum_j lambda_j / (2 (-1)^j)
     [D(u+j) + D(u-j)] = sum_k d_k B_n(u - k).
 
     D = B_{2n+1}^(n+1) = sum_{i=0}^{n+1} (-1)^i binom(n+1, i) B_n(. - i),
     so d is translate_weights reversed (the weights of D(u - t), t = -n..n)
-    convolved with that signed binomial row.  Built once per system and
-    returned read-only.
+    convolved with that signed binomial row.
     """
     row = [(-1.0) ** i * math.comb(sys.n + 1, i) for i in range(sys.n + 2)]
-    d = np.convolve(translate_weights(sys)[::-1], row)
-    d.flags.writeable = False
-    return d
+    return np.convolve(translate_weights(sys)[::-1], row)
+
+
+@lru_cache(maxsize=64)
+def _wavelet_ppform(sys: BLSystem) -> PPForm:
+    """The read-only pp-form of sum_k d_k B_n(u - k), k = -n..2n+1, built
+    once per system from _wavelet_taps."""
+    return bspline_ppform(sys.n, _wavelet_taps(sys), -sys.n)
 
 
 def wavelet_localized(sys: BLSystem, x):
     """Psi_n / Lambda'', the certified Battle-Lemarie wavelet.
 
     kappa_n sum_k d_k B_n(u - k), u = 2x + n, with the 3n+2 taps of
-    _wavelet_taps on k = -n..2n+1, evaluated exactly in one
-    bspline_filtered pass.  The support is [-n, n+1]; the translate
+    _wavelet_taps on k = -n..2n+1: the system's pp-form (_wavelet_ppform,
+    built once) evaluated exactly at the points of u inside [-n, 3n+2),
+    the others 0.  The support is [-n, n+1]; the translate
     Psi_{n,k,s}(x) is (-1)^k Psi_n(x - s).
     """
     u = 2.0 * np.asarray(x, dtype=float) + sys.n
-    return sys.kappa * bspline_filtered(sys.n, u, _wavelet_taps(sys), -sys.n)
+    return sys.kappa * ppform_eval(_wavelet_ppform(sys), u)

@@ -10,20 +10,25 @@ beta_plus_filtered, the package's one fractional evaluator.  Natural orders
 are always routed to bspline_filtered, never to the fractional series: on
 each integer interval a natural spline is one polynomial in the offset
 (de Boor's pp-form), whose coefficients come from the exact rational pieces
-of B_n, computed once per order, convolved with the spline's taps once per
-call and evaluated by Horner's rule at each point.  The symmetric spline
-beta_*^alpha enters only through its integer samples, which the wavelet
-filters use; they come by Poisson summation: the lattice sum in their
-Fourier transform is a pair of Hurwitz zeta values in closed form, and one
-inverse FFT leaves only aliasing error O(N^(-alpha-2)).
+of B_n, computed once per order.  bspline_ppform convolves them with the
+spline's taps into a read-only table, once per function that is evaluated
+repeatedly (B_n per order here, the Battle-Lemarie wavelet per system in
+battle_lemarie), and ppform_eval reads it by Horner's rule only at the
+points inside the support; every other point is exactly 0.  The
+symmetric spline beta_*^alpha enters only through its integer samples,
+which the wavelet filters use; they come by Poisson summation: the lattice
+sum in their Fourier transform is a pair of Hurwitz zeta values in closed
+form, and one inverse FFT leaves only aliasing error O(N^(-alpha-2)).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,63 +108,113 @@ def _shaped(out: np.ndarray, u: np.ndarray) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray | float:
-    """sum_i c[i] B_n(u - k0 - i) at every point of u.
+class PPForm(NamedTuple):
+    """The read-only pp-form of sum_i c[i] B_n(u - k0 - i) (bspline_ppform).
 
-    This is the natural-order spline with coefficients c on the integers
-    k0, k0 + 1, ...  Each point splits exactly into u = m + f, m = floor(u),
-    and B_n is nonzero at f + p only for p = 0..n (B_0 is the indicator of
-    [0, 1)), so on the integer interval j = m - k0 the spline is one
-    polynomial in the offset f (de Boor's pp-form):
+    table[d, j] and table[d, width + j] are the degree-d coefficients on
+    the integer interval j = 0..width - 1 of the support [k0, k0 + width),
+    width = len(c) + n, in the offset f and in 1 - f.
+    """
 
-        out = sum_{d=0}^{n} f^d sum_{p=0}^{n} P[d, p] c[j - p],
+    n: int
+    k0: int
+    table: np.ndarray
+
+
+def bspline_ppform(n: int, c, k0: int) -> PPForm:
+    """The pp-form of sum_i c[i] B_n(u - k0 - i), built once per function.
+
+    B_n is nonzero at f + p, 0 <= f < 1, only for p = 0..n (B_0 is the
+    indicator of [0, 1)), so on the integer interval j = floor(u) - k0 the
+    spline is one polynomial in the offset f (de Boor's pp-form):
+
+        sum_{d=0}^{n} f^d sum_{p=0}^{n} P[d, p] c[j - p],
 
     taps outside c counting as 0, with P the pieces of _bspline_pieces.
     By the symmetry B_n(p + f) = B_n(n - p + (1 - f)) the same polynomial
-    is sum_d (1 - f)^d sum_p P[d, n - p] c[j - p], and a point with
-    f > 1/2 uses that form, so the Horner variable never exceeds 1/2 and
-    is exact; the knots (f = 0) read the rounded constant terms.  Per call
-    the taps are convolved with the pieces into a table with one column
-    per interval j = -1..len(c) + n for each form (the edge columns are 0),
-    2 (n + 1)^2 (len(c) + n + 2) multiply-adds; per point one column is
-    read and n Horner steps are taken, whatever the length of c.
-    Non-finite u give NaN; a 0-d u gives a Python float.
+    is sum_d (1 - f)^d sum_p P[d, n - p] c[j - p].  The taps are convolved
+    with the pieces into one column per interval j = 0..len(c) + n - 1 of
+    the support for each form, 2 (n + 1)^2 (len(c) + n) multiply-adds; the
+    table is returned read-only.  n must be an integer >= 0 and k0 an
+    integer: the evaluator's support bounds assume integer knots.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    u = np.asarray(u, dtype=float)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    if isinstance(k0, bool) or not isinstance(k0, numbers.Integral):
+        raise ValueError(f"k0 must be an integer, got {k0!r}")
+    n, k0 = int(n), int(k0)
     c = np.asarray(c, dtype=float)
-    flat = u.ravel()
-    m = np.floor(flat)
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, marked below
-        f = flat - m
-    # column j + 1 holds sum_p P[d, p] c[j - p] (windows of n + 1 taps of c
-    # padded by n + 1 zeros on each side, reversed against the pieces), and
-    # column width + j + 1 holds sum_p P[d, n - p] c[j - p]
-    width = c.size + n + 2
-    cpad = np.concatenate([np.zeros(n + 1), c, np.zeros(n + 1)])
+    # column j holds the window c[j - n..j] of c padded by n zeros on each
+    # side, reversed against the pieces for the offset f and taken as is
+    # for 1 - f
+    width = c.size + n
+    cpad = np.concatenate([np.zeros(n), c, np.zeros(n)])
     windows = cpad[np.arange(n + 1)[:, None] + np.arange(width)]
     pieces = _bspline_pieces(n)
     table = np.concatenate([pieces[:, ::-1] @ windows, pieces @ windows], axis=1)
+    table.flags.writeable = False
+    return PPForm(n, k0, table)
+
+
+def ppform_eval(pp: PPForm, u) -> np.ndarray | float:
+    """The spline of pp at every point of u, computed only where it is nonzero.
+
+    Points outside the support [k0, k0 + width) are exactly 0 and
+    non-finite u give NaN; neither is read further.  Each live point
+    splits exactly into u = m + f, m = floor(u), and reads the column of
+    its interval m - k0; a point with f > 1/2 reads the 1 - f form, so the
+    Horner variable never exceeds 1/2 and is exact, and the knots (f = 0)
+    read the rounded constant terms.  Per live point that is one column
+    and n Horner steps, whatever the length of c.  The output has the
+    shape of u (a Python float for 0-d u).
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    out = np.where(np.isfinite(flat), 0.0, np.nan)
+    table = pp.table
+    width = table.shape[1] // 2
+    # NaN and +-inf are never live
+    live = np.flatnonzero((flat >= pp.k0) & (flat < pp.k0 + width))
+    x = flat[live]
+    m = np.floor(x)
+    f = x - m
     right = f > 0.5
     v = np.where(right, 1.0 - f, f)
-    # the float clip (fmax/fmin map NaN to the edge) keeps every index in range
-    col = np.fmin(np.fmax(m - (k0 - 1), 0.0), width - 1).astype(np.intp)
+    col = (m - pp.k0).astype(np.intp)
     col += right * width
-    out = table[n][col]
-    for d in range(n - 1, -1, -1):
-        out *= v
-        out += table[d][col]
-    out[np.isnan(f)] = np.nan
+    acc = table[pp.n][col]
+    for d in range(pp.n - 1, -1, -1):
+        acc *= v
+        acc += table[d][col]
+    out[live] = acc
     return _shaped(out, u)
+
+
+def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray | float:
+    """sum_i c[i] B_n(u - k0 - i) at every point of u.
+
+    The natural-order spline with coefficients c on the integers k0, k0 +
+    1, ...: its pp-form (bspline_ppform) evaluated at u (ppform_eval).  A
+    function evaluated repeatedly builds its pp-form once and calls
+    ppform_eval instead.
+    """
+    return ppform_eval(bspline_ppform(n, c, k0), u)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _bspline_natural_ppform(n: int) -> PPForm:
+    """The pp-form of B_n, built once per order; typed, so that 2.0 and
+    True reach bspline_ppform's check."""
+    return bspline_ppform(n, np.ones(1), 0)
 
 
 def bspline_natural(n: int, x):
     """B_n, supported on [0, n+1]; B_0 = indicator of [0, 1).
 
-    The single-coefficient case of bspline_filtered.
+    The single-coefficient case of bspline_filtered, from a pp-form built
+    once per order.
     """
-    return bspline_filtered(n, x, np.ones(1), 0)
+    return ppform_eval(_bspline_natural_ppform(n), x)
 
 
 @lru_cache(maxsize=64)

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracbesov.battle_lemarie import (
+    _wavelet_ppform,
     _wavelet_taps,
     bl_system,
     scaling_localized,
     wavelet_localized,
 )
 from fracbesov.frac_wavelets import natural_system, panel_rule
-from fracbesov.splines import bspline_filtered, bspline_integer_samples, bspline_natural
+from fracbesov.splines import (
+    bspline_filtered,
+    bspline_integer_samples,
+    bspline_natural,
+    bspline_ppform,
+)
 from test_quadrature import graded_breaks
 
 # The root factorization of the filter layer, the independent reference of
@@ -341,12 +347,13 @@ class TestScaling:
 
 
 class TestWavelet:
-    def test_taps_built_once(self):
-        # the taps depend only on the frozen system
+    def test_ppform_built_once(self):
+        # the taps and their pp-form depend only on the frozen system
         sys = bl_system(3)
-        taps = _wavelet_taps(sys)
-        assert _wavelet_taps(sys) is taps
-        assert not taps.flags.writeable
+        pp = _wavelet_ppform(sys)
+        assert _wavelet_ppform(sys) is pp
+        assert not pp.table.flags.writeable
+        assert np.array_equal(pp.table, bspline_ppform(3, _wavelet_taps(sys), -3).table)
 
     def _moments(self, sys, gmax):
         breaks = graded_breaks(-sys.n, sys.n + 1.0, per_unit=4, levels=0)

@@ -4,8 +4,10 @@ The first call of np.unique imports numpy.ma, 1.6 MB of peak RSS, and
 importing scipy.special takes longer than a whole benchmark set-up, so
 neither may be reached from the natural certification path.  The natural
 systems are built from exact integers in closed form, so no root or
-eigenvalue solver may be reached either.  The checks run in a fresh
-interpreter, where no other test has imported or cached anything.
+eigenvalue solver may be reached either.  The natural functions build
+their pp-form tables once, so repeated certification allocates only the
+per-call arrays of the points inside each support.  The checks run in a
+fresh interpreter, where no other test has imported or cached anything.
 """
 
 import json
@@ -100,3 +102,64 @@ def test_cached_tables_shared_and_read_only():
     for arr in (fw._GRID_Y, env, ix, iy, weight, *fw._moment_rule()):
         with pytest.raises(ValueError):
             arr[...] = np.zeros_like(arr)
+
+
+PPFORMS_ONCE = """
+import json, tracemalloc
+import numpy as np
+from fracbesov import battle_lemarie as bl, splines as sp
+from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for, natural_system
+
+def certify(taus):
+    for n in range(1, 5):
+        nat = natural_system(n)
+        for s in (0.0, 1.0) if n >= 2 else (0.0,):
+            params = molecule_params_for(2.0, 2.0, s, 1.0, float(n))
+            molecule_check(nat.scale_fn, (0, 0), params)
+            for Q in zip((1, 2, 1), taus):
+                molecule_check(molecule(nat.wavelet_fn, Q), Q, params)
+
+def misses():
+    return [sp._bspline_natural_ppform.cache_info().misses, bl._wavelet_ppform.cache_info().misses]
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a pp-form was built again")
+
+certify((0, 3, -7))
+first = misses()
+sp.bspline_ppform = bl.bspline_ppform = refuse
+certify((5, -2, 8))
+certify((-8, 0, 1))
+forms = [f(n) for n in range(1, 5)
+         for f in (sp._bspline_natural_ppform, lambda n: bl._wavelet_ppform(bl.bl_system(n)))]
+# one (M1) check of order 3 at s = 0, nu = 1, its caches warm
+nat, params = natural_system(3), molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
+m_q = molecule(nat.wavelet_fn, (1, 3))
+molecule_check(m_q, (1, 3), params)
+tracemalloc.start()
+rep = molecule_check(m_q, (1, 3), params)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"first": first, "after": misses(), "m1": "M1" in rep.conditions, "peak": peak,
+                  "read_only": [not f.table.flags.writeable for f in forms]}))
+"""
+
+# per-call temporaries of one (M1) check: 484 KiB when every point was read
+# and the table rebuilt per call, 308 KiB with the table built once and only
+# the support read.  Above this the heap regrows by page faults on every
+# benchmark operation.
+M1_CHECK_PEAK = 384 * 1024
+
+
+def test_natural_ppforms_built_once_and_check_stays_small():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", PPFORMS_ONCE], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    got = json.loads(out.stdout.splitlines()[-1])
+    # one B_n and one wavelet per order, none built again after
+    assert got["first"] == [4, 4] and got["after"] == [4, 4]
+    assert all(got["read_only"])
+    assert got["m1"]
+    assert got["peak"] <= M1_CHECK_PEAK

@@ -3,7 +3,10 @@
 B_n is computed at dyadic points in Fractions by the two-term recursion
 B_n(x) = (x B_{n-1}(x) + (n+1-x) B_{n-1}(x-1)) / n, point by point; every
 float input below is dyadic, so the oracle sees exactly the arguments the
-evaluators receive.
+evaluators receive.  reference_filtered is the earlier evaluator, which
+built its pp-form table on every call and read every point: the evaluators
+that build the table once and read only the support must match it bit for
+bit on the certifier's own inputs.
 """
 
 import math
@@ -12,11 +15,16 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracbesov.battle_lemarie import bl_system, wavelet_localized
+from fracbesov.battle_lemarie import _wavelet_taps, bl_system, wavelet_localized
+from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for
 from fracbesov.splines import (
     FractionalSpline,
+    _bspline_pieces,
     _bspline_pieces_exact,
+    _shaped,
     bspline_derivative,
     bspline_filtered,
     bspline_integer_samples,
@@ -157,3 +165,110 @@ def test_wavelet_matches_exact(n):
 
 def test_frac_bspline_scalar_is_float():
     assert type(frac_bspline(FractionalSpline(alpha=1.5), np.array(1.25))) is float
+
+
+@pytest.mark.parametrize(
+    "n, k0, name",
+    [(2.0, 0, "n"), (True, 0, "n"), (-1, 0, "n"), (np.float64(3.0), 0, "n"), (2, 0.5, "k0"),
+     (2, 1.0, "k0"), (2, False, "k0"), (2, np.float64(-3.0), "k0")],
+)
+def test_bad_order_or_offset_is_refused(n, k0, name):
+    # a fractional k0 used to read the wrong pieces: B_2 at 1.7 - 0.5 gave
+    # 0.245 for 0.66; n = 2.0 and n = True failed inside range and indexing
+    with pytest.raises(ValueError, match=name):
+        bspline_filtered(n, [0.5, 1.7], [1.0], k0)
+    if name == "n":
+        with pytest.raises(ValueError, match=name):
+            bspline_natural(n, 1.5)
+
+
+@settings(derandomize=True, max_examples=60, deadline=2000)
+@given(
+    data=st.data(),
+    n=st.integers(0, 8),
+    taps=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    k0=st.integers(-40, 40),
+)
+def test_filtered_matches_exact_property(data, n, taps, k0):
+    span = len(taps) + n
+    inside = data.draw(st.lists(st.integers(0, 16 * span - 1), min_size=1, max_size=16))
+    far = data.draw(st.lists(st.integers(1, 2**24), min_size=1, max_size=6))
+    # dyadic points in the support, and left and right of it out to 2^20
+    u = np.array(
+        [k0 + t / 16 for t in inside]
+        + [k0 - t / 16 for t in far]
+        + [k0 + span + (t - 1) / 16 for t in far]
+        + [-1e-20]
+    )
+    c = np.array(taps, dtype=float)
+    got = bspline_filtered(n, u, c, k0)
+    ref = exact_filtered(n, u, taps, k0)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.sum(np.abs(c)))
+    assert np.all(got[len(inside) : -1] == 0.0)
+    # non-finite points give NaN, a 0-d point a float, a 2-D array its shape
+    bad = bspline_filtered(n, [np.nan, np.inf, -np.inf], c, k0)
+    assert np.all(np.isnan(bad))
+    scalar = bspline_filtered(n, np.float64(u[0]), c, k0)
+    assert type(scalar) is float and scalar == got[0]
+    grid = bspline_filtered(n, np.stack([u, u[::-1]]), c, k0)
+    assert grid.shape == (2, u.size)
+    assert np.array_equal(grid, np.stack([got, got[::-1]]))
+
+
+def reference_filtered(n: int, u, c, k0: int):
+    """sum_i c[i] B_n(u - k0 - i), the table rebuilt per call and every
+    point read, edge columns of zeros catching the points off the support."""
+    u = np.asarray(u, dtype=float)
+    c = np.asarray(c, dtype=float)
+    flat = u.ravel()
+    m = np.floor(flat)
+    with np.errstate(invalid="ignore"):
+        f = flat - m
+    width = c.size + n + 2
+    cpad = np.concatenate([np.zeros(n + 1), c, np.zeros(n + 1)])
+    windows = cpad[np.arange(n + 1)[:, None] + np.arange(width)]
+    pieces = _bspline_pieces(n)
+    table = np.concatenate([pieces[:, ::-1] @ windows, pieces @ windows], axis=1)
+    right = f > 0.5
+    v = np.where(right, 1.0 - f, f)
+    col = np.fmin(np.fmax(m - (k0 - 1), 0.0), width - 1).astype(np.intp)
+    col += right * width
+    out = table[n][col]
+    for d in range(n - 1, -1, -1):
+        out *= v
+        out += table[d][col]
+    out[np.isnan(f)] = np.nan
+    return _shaped(out, u)
+
+
+@lru_cache(maxsize=1)
+def certifier_inputs() -> np.ndarray:
+    """Every point molecule_check hands the function f of m_Q = molecule(f, Q):
+    the grid, the +-h points of s = 1 and the (M1) nodes of s = 0, at
+    (nu, tau) = (0, 0), (1, 3), (2, -5)."""
+    seen = []
+
+    def record(y):
+        seen.append(np.array(y, dtype=float))
+        return np.zeros_like(y)
+
+    for s in (0.0, 1.0):
+        params = molecule_params_for(2.0, 2.0, s, 1.0, 2.0)
+        for Q in ((0, 0), (1, 3), (2, -5)):
+            molecule_check(molecule(record, Q), Q, params)
+    return np.concatenate(seen)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bit_identical_to_reference(n):
+    y = certifier_inputs()
+    assert np.array_equal(bspline_natural(n, y), reference_filtered(n, y, [1.0], 0))
+    sys = bl_system(n)
+    ref = sys.kappa * reference_filtered(n, 2.0 * y + n, _wavelet_taps(sys), -n)
+    assert np.array_equal(wavelet_localized(sys, y), ref)
+    for r in range(1, n):
+        row = [(-1.0) ** i * math.comb(r, i) for i in range(r + 1)]
+        assert np.array_equal(bspline_derivative(n, r, y), reference_filtered(n - r, y, row, 0))
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, -1e-20, 1e300])
+    ref = reference_filtered(n, odd, [1.0], 0)
+    assert np.array_equal(bspline_natural(n, odd), ref, equal_nan=True)
