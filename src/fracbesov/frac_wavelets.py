@@ -6,20 +6,24 @@ with the two-scale filter
     q_k = 2^(-alpha) (-1)^k sum_{l >= 0} binom(alpha+1, l) beta_*^(2 alpha + 1)(l + k - 1),
 
 whose integer symmetric-spline samples come from the Poisson-summation
-evaluator.  The combination Psi adds cosine weights lambda_j(n) from the
-natural-order construction (battle_lemarie.translate_weights), folded into
-the filter, so psi and Psi are each one splines.beta_plus_filtered pass.
-Their tail estimate is held to one tolerance, TAIL_TOL.  Molecule checking
-certifies the decay / moment / Hoelder conditions on one reference grid,
-the lattice k/16 on [-25, 25] in the scaled variable y = 2^nu (x - x_Q),
-with one call of the molecule m_Q = molecule(f, Q) (its values, the
-central differences of its derivatives and the (M1) nodes together); the
-grid, its envelope tables and the (M1) rule are the same for every (nu,
-tau).  The calibration of c0 and c reads only the envelope conditions
-(M2)-(M4) and skips the moment quadrature of (M1).  A WaveletSystem is
-the pair (scale_fn, wavelet_fn) of the natural Battle-Lemarie system,
-divided by Lambda' and Lambda'' in closed form, or of the fractional one,
-scaled by c0 and c.
+evaluator.  Its two-scale symbol sum_k q_k e^(-ikw) carries the factor
+(1 - e^(iw))^(alpha+1), so int x^gamma psi = 0 for every integer gamma <
+alpha + 1 and does not exist beyond (Unser-Blu); no moment is computed
+here, and the tests check q against that symbol.  The combination Psi
+adds cosine weights lambda_j(n) from the natural-order construction
+(battle_lemarie.translate_weights), folded into the filter, so psi and
+Psi are each one splines.beta_plus_filtered pass.  Their tail estimate
+is held to one tolerance, TAIL_TOL.  Molecule checking certifies the
+decay / moment / Hoelder conditions on one reference grid, the lattice
+k/16 on [-25, 25] in the scaled variable y = 2^nu (x - x_Q) of a dyadic
+cube Q = (nu, tau) (integers, nu >= 0), with one call of the molecule
+m_Q = molecule(f, Q) (its values, the central differences of its
+derivatives and the (M1) nodes together); the grid, its envelope tables
+and the (M1) rule are the same for every (nu, tau).  The calibration of
+c0 and c reads only the envelope conditions (M2)-(M4) and skips the
+moment quadrature of (M1).  A WaveletSystem is the pair (scale_fn,
+wavelet_fn) of the natural Battle-Lemarie system, divided by Lambda' and
+Lambda'' in closed form, or of the fractional one, scaled by c0 and c.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ MOMENT_TOL = 1e-5
 # fractional wavelets
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
-    """q_k for k = -kmax..kmax.
+    """q_k for k = -kmax..kmax; kmax is psi's trunc.
 
     The symmetric samples are taken at l + k - 1, Unser-Blu's index.  At
     alpha = 1 this gives Chui-Wang's filter (1/12) [1, -6, 10, -6, 1] on
@@ -66,7 +70,13 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     to kmax + 1000 moves q by at most 4.9e-15 max|q| (measured at alpha =
     1/2, kmax = 60; below 2e-16 for alpha >= 4/3), since binom(alpha+1, l)
     and the samples both decay algebraically.  Returned read-only.
+
+    A kmax that is not an integer >= 1 (or is a bool) raises ValueError
+    naming trunc; the cache is typed, so 60.0 and True are checked, not
+    served from the entries of 60 and 1.
     """
+    if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral) or kmax < 1:
+        raise ValueError(f"trunc must be an integer >= 1, got {kmax!r}")
     ltrunc = kmax + 48
     sam = beta_star_integer_samples(2.0 * alpha + 1.0, kmax + ltrunc + 2)
     mid = kmax + ltrunc + 2
@@ -77,15 +87,6 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     q[(ks % 2) != 0] *= -1.0
     q.flags.writeable = False
     return q
-
-
-def _check_trunc(trunc) -> None:
-    """A trunc that is not an integer >= 1 raises ValueError.
-
-    Checked before wavelet_filter, whose lru_cache keys 60.0 and 60 alike.
-    """
-    if not (isinstance(trunc, numbers.Integral) and trunc >= 1):
-        raise ValueError(f"trunc must be an integer >= 1, got {trunc!r}")
 
 
 def _psi_translates(alpha, variant, x, up, trunc):
@@ -103,7 +104,6 @@ def _psi_translates(alpha, variant, x, up, trunc):
         raise ValueError("psi_frac requires non-integer alpha > 0")
     if variant not in ("causal", "anticausal"):
         raise ValueError(f"variant must be one-sided, got {variant!r}")
-    _check_trunc(trunc)
     xs = np.asarray(x, dtype=float)
     q = wavelet_filter(alpha, trunc)
     if variant == "causal":
@@ -164,41 +164,6 @@ def Psi_combined(alpha: float, n: int, variant: str, x, trunc: int = 80):
     up = np.zeros(4 * sys.n + 1)
     up[::2] = translate_weights(sys)
     return _psi_translates(alpha, variant, x, up, trunc)
-
-
-def beta_moment(alpha: float, variant: str, i: int) -> float:
-    """i-th moment of beta_±^alpha, exact via uniform-density cumulants."""
-    m = (alpha + 1.0) / 2.0
-    v = (alpha + 1.0) / 12.0
-    k4 = -(alpha + 1.0) / 120.0
-    mu = {
-        0: 1.0,
-        1: m,
-        2: m * m + v,
-        3: m**3 + 3 * m * v,
-        4: m**4 + 6 * m * m * v + 3 * v * v + k4,
-    }
-    if i not in mu:
-        raise ValueError("moments implemented for i <= 4")
-    val = mu[i]
-    if variant == "anticausal" and i % 2:
-        val = -val
-    return val
-
-
-def psi_moment(alpha: float, variant: str, gamma: int, trunc: int = 80) -> float:
-    """int x^gamma psi(x) dx, reduced exactly to filter sums and beta moments."""
-    _check_trunc(trunc)
-    q = wavelet_filter(alpha, trunc)
-    ks = np.arange(-trunc, trunc + 1).astype(float)
-    total = 0.0
-    for i in range(gamma + 1):
-        total += (
-            math.comb(gamma, i)
-            * beta_moment(alpha, variant, i)
-            * float(np.dot(q, ks ** (gamma - i)))
-        )
-    return 2.0 ** (-gamma - 1) * total
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +313,23 @@ def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
+def _dyadic_cube(Q) -> tuple[int, int]:
+    """(nu, tau) of the dyadic cube Q; ValueError unless both are integers
+    (numpy's too, bool not) and nu >= 0."""
+    nu, tau = Q
+    # concrete types: a numbers.Integral check costs 2.5 us, on every report
+    if not (isinstance(nu, (int, np.integer)) and isinstance(tau, (int, np.integer))
+            and not isinstance(nu, bool) and not isinstance(tau, bool) and nu >= 0):
+        raise ValueError(f"Q must be a dyadic cube (nu, tau), integers with nu >= 0, got {Q!r}")
+    return nu, tau
+
+
 def molecule(fn, Q: tuple[int, int]) -> Callable:
     """The molecule m_Q of fn at Q = (nu, tau): x -> 2^(nu/2) fn(2^nu x - tau).
 
     At Q = (0, 0) it returns fn's own values bit for bit.
     """
-    nu, tau = Q
+    nu, tau = _dyadic_cube(Q)
     return lambda x: 2.0 ** (nu / 2.0) * fn(2.0**nu * x - tau)
 
 
@@ -371,9 +347,9 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     16, 64.  (M1) takes a 12-point panel rule on the lattice k/8 over the
     grid's range, built once; it is void for N < 0.  Each condition maps
     to its "value" and "ratio"; report-only: ratios > 1 mean the condition
-    fails.
+    fails.  A Q that is not a dyadic cube raises ValueError.
     """
-    nu, tau = Q
+    nu, tau = _dyadic_cube(Q)
     x_q = tau / 2.0**nu
     scale = 2.0**nu
     s, M, N, delta = params.s, params.M, params.N, params.delta
@@ -506,8 +482,11 @@ def calibrate_constants(
     moment vanish, so the reports are taken with N = -1, which voids (M1):
     (c0, c) read only the envelope ratios (M2)-(M4) and are the same as
     with ``params``.  Certify (M1) on the calibrated system with
-    ``molecule_check`` and ``params``.  A non-finite ratio raises ValueError.
+    ``molecule_check`` and ``params``.  A non-finite ratio, or nus without
+    a nu >= 1, where c would be certified by nothing, raises ValueError.
     """
+    if not any(nu >= 1 for nu in nus):
+        raise ValueError(f"nus must hold a nu >= 1, got {nus!r}")
     sysu = fractional_system(alpha, variant, comb_n, trunc=trunc)
     params = replace(params, N=-1)
     c0 = _constant([molecule_check(sysu.scale_fn, (0, 0), params).max_envelope_ratio])
@@ -525,5 +504,5 @@ def _constant(ratios: list[float]) -> float:
     """
     if not all(math.isfinite(r) for r in ratios):
         raise ValueError(f"non-finite envelope ratio among {ratios}")
-    worst = max(ratios, default=0.0)
+    worst = max(ratios)
     return min(1.0, 0.98 / worst) if worst > 0 else 1.0

@@ -17,7 +17,6 @@ SRC = sorted((ROOT / "src" / "fracbesov").glob("*.py"))
 BENCH = sorted((ROOT / "fracbench").glob("*.py"))
 
 ALLOWED = {
-    "psi_moment": "the closed-form (M1) of psi that replaces molecule_check's panel rule",
     "frac_bspline_derivative": "the exact fractional derivative that replaces the "
     "central difference",
 }
