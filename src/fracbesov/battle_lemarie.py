@@ -5,7 +5,8 @@ Laurent form z^n P_n(z) = prod_j (z + r_j)(z + 1/r_j) / (2n+1)! with n
 roots r_j in (0, 1).  The cosine weights lambda_j of prod_j (rho_j - 2 cos t)
 = sum_j (-1)^j lambda_j cos(jt), rho_j = r_j + 1/r_j, are exact integers:
 at z = -e^{it} the product is (2n+1)! P_n(t + pi), so lambda_j = (2 - [j =
-0]) (2n+1)! B_{2n+1}(n+1+j), an Eulerian number (doubled for j >= 1).
+0]) (2n+1)! B_{2n+1}(n+1+j), an Eulerian number (doubled for j >= 1),
+which splines sums exactly in Python ints from the truncated powers.
 
 The certified pair needs the roots only through one product, which is
 exact as well.  The localized pair is Phi_n = beta_n B_n and Psi_n =
@@ -45,8 +46,8 @@ import numpy as np
 # evaluators; fracbench's tracer wraps battle_lemarie.bspline_derivative
 from .splines import (  # noqa: F401
     PPForm,
+    _bspline_piece_int,
     bspline_derivative,
-    bspline_integer_samples,
     bspline_natural,
     bspline_ppform,
     ppform_eval,
@@ -67,17 +68,17 @@ def bl_system(n: int) -> BLSystem:
     """The frozen Battle-Lemarie data of order n, 1 <= n <= 8, built once.
 
     lam holds the integers lambda_j = (2 - [j = 0]) (2n+1)! B_{2n+1}(n+1+j)
-    from the rational samples of B_{2n+1}; kappa_n = (-1)^(n+1) / (4^n
-    sqrt((2n+1)! T_{2n+1})) takes T_{2n+1} = sum_j (-1)^j lambda_j and the
-    product in Python ints, rounded once before the square root.  The
-    cache is typed, so 2.0 and True reach the check below.
+    in splines' closed form; kappa_n = (-1)^(n+1) / (4^n sqrt((2n+1)!
+    T_{2n+1})) takes T_{2n+1} = sum_j (-1)^j lambda_j and the product in
+    Python ints, rounded once before the square root.  The cache is typed,
+    so 2.0 and True reach the check below.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= 8:
         raise ValueError(f"n must be an integer in 1..8, got {n!r}")
-    sam, fact = bspline_integer_samples(2 * n + 1), math.factorial(2 * n + 1)
-    lam = [int((2 - (j == 0)) * fact * sam[n + 1 + j]) for j in range(n + 1)]
+    m = 2 * n + 1
+    lam = [(2 - (j == 0)) * _bspline_piece_int(m, 0, n + 1 + j) for j in range(n + 1)]
     tangent = sum((-1) ** j * l for j, l in enumerate(lam))
-    kappa = (-1.0) ** (n + 1) / (4.0**n * math.sqrt(fact * tangent))
+    kappa = (-1.0) ** (n + 1) / (4.0**n * math.sqrt(math.factorial(m) * tangent))
     return BLSystem(n=n, lam=tuple(float(l) for l in lam), kappa=kappa)
 
 

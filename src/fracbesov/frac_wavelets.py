@@ -71,10 +71,13 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     1/2, kmax = 60; below 2e-16 for alpha >= 4/3), since binom(alpha+1, l)
     and the samples both decay algebraically.  Returned read-only.
 
-    A kmax that is not an integer >= 1 (or is a bool) raises ValueError
-    naming trunc; the cache is typed, so 60.0 and True are checked, not
-    served from the entries of 60 and 1.
+    An alpha outside (0, inf) raises ValueError naming alpha, and so does
+    a kmax that is not an integer >= 1 (or is a bool), naming trunc; the
+    cache is typed, so 60.0 and True are checked, not served from the
+    entries of 60 and 1.
     """
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral) or kmax < 1:
         raise ValueError(f"trunc must be an integer >= 1, got {kmax!r}")
     ltrunc = kmax + 48
@@ -100,8 +103,8 @@ def _psi_translates(alpha, variant, x, up, trunc):
     2 t_max] and must stay within TAIL_TOL; without finite points there is
     none, and non-finite x give NaN.
     """
-    if alpha <= 0 or _is_nat(alpha):
-        raise ValueError("psi_frac requires non-integer alpha > 0")
+    if not 0 < alpha < math.inf or _is_nat(alpha):
+        raise ValueError(f"alpha must be finite, positive and fractional, got {alpha!r}")
     if variant not in ("causal", "anticausal"):
         raise ValueError(f"variant must be one-sided, got {variant!r}")
     xs = np.asarray(x, dtype=float)

@@ -9,12 +9,14 @@ and the anticausal one is its reflection; both are evaluated by
 beta_plus_filtered, the package's one fractional evaluator.  Natural orders
 are always routed to bspline_filtered, never to the fractional series: on
 each integer interval a natural spline is one polynomial in the offset
-(de Boor's pp-form), whose coefficients come from the exact rational pieces
-of B_n, computed once per order.  bspline_ppform convolves them with the
-spline's taps into a read-only table, once per function that is evaluated
-repeatedly (B_n per order here, the Battle-Lemarie wavelet per system in
-battle_lemarie), and ppform_eval reads it by Horner's rule only at the
-points inside the support; every other point is exactly 0.  The
+(de Boor's pp-form).  Its coefficients are the same series at alpha = n,
+expanded in the offset and summed in Python ints, then rounded once, per
+order; the samples n! B_n(p) among them are the Eulerian numbers that
+battle_lemarie's weights use.  bspline_ppform convolves the coefficients
+with the spline's taps into a read-only table, once per function that is
+evaluated repeatedly (B_n per order here, the Battle-Lemarie wavelet per
+system in battle_lemarie), and ppform_eval reads it by Horner's rule only
+at the points inside the support; every other point is exactly 0.  The
 symmetric spline beta_*^alpha enters only through its integer samples,
 which the wavelet filters use; they come by Poisson summation: the lattice
 sum in their Fourier transform is a pair of Hurwitz zeta values in closed
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -68,36 +69,29 @@ def _is_nat(a: float) -> bool:
 # natural B-splines
 # ---------------------------------------------------------------------------
 
-def _bspline_pieces_exact(n: int) -> list[list[Fraction]]:
-    """P[d][p] with B_n(f + p) = sum_d P[d][p] f^d on 0 <= f < 1, p = 0..n.
+def _bspline_piece_int(n: int, d: int, p: int) -> int:
+    """n! times the coefficient of f^d in B_n(f + p), 0 <= f < 1, an int.
 
-    The Cox-de Boor recursion k! B_k(f + p) = (f + p) (k-1)! B_{k-1}(f + p)
-    + (k + 1 - p - f) (k-1)! B_{k-1}(f + p - 1) on the integer coefficient
-    lists of the pieces, from 0! B_0 = [1] on p = 0, divided by n! at the end.
+    The natural order of the fractional series, n! B_n(x) = sum_k (-1)^k
+    binom(n+1, k) (x - k)_+^n (de Boor 1978), at x = f + p: only k <= p
+    enter, and the binomial theorem in f gives
+
+        binom(n, d) sum_{k=0}^{p} (-1)^k binom(n+1, k) (p - k)^(n-d),
+
+    with 0^0 = 1 for the term f^n of k = p.  At d = 0 it is n! B_n(p), an
+    Eulerian number, and 0 at p = n + 1.
     """
-    P = [[1]]  # P[p][d] of k! B_k at level k, pieces p = 0..k
-    for k in range(1, n + 1):
-        nxt = []
-        for p in range(k + 1):
-            acc = [0] * (k + 1)
-            if p < k:  # (f + p) B_{k-1}(f + p)
-                for d, a in enumerate(P[p]):
-                    acc[d] += p * a
-                    acc[d + 1] += a
-            if p > 0:  # (k + 1 - p - f) B_{k-1}(f + p - 1)
-                for d, a in enumerate(P[p - 1]):
-                    acc[d] += (k + 1 - p) * a
-                    acc[d + 1] -= a
-            nxt.append(acc)
-        P = nxt
-    nf = math.factorial(n)
-    return [[Fraction(P[p][d], nf) for p in range(n + 1)] for d in range(n + 1)]
+    return math.comb(n, d) * sum(
+        (-1) ** k * math.comb(n + 1, k) * (p - k) ** (n - d) for k in range(p + 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def _bspline_pieces(n: int) -> np.ndarray:
-    """The exact pieces of B_n rounded once: an (n + 1, n + 1) array P[d, p]."""
-    P = np.array(_bspline_pieces_exact(n), dtype=float)
+    """P[d, p] with B_n(f + p) = sum_d P[d, p] f^d on 0 <= f < 1, p = 0..n:
+    the ints of _bspline_piece_int divided by n!, each rounded once."""
+    nf, pieces = math.factorial(n), range(n + 1)
+    P = np.array([[_bspline_piece_int(n, d, p) / nf for p in pieces] for d in pieces])
     P.flags.writeable = False
     return P
 
@@ -215,13 +209,6 @@ def bspline_natural(n: int, x):
     once per order.
     """
     return ppform_eval(_bspline_natural_ppform(n), x)
-
-
-@lru_cache(maxsize=64)
-def bspline_integer_samples(n: int) -> tuple[Fraction, ...]:
-    """Exact rational values (B_n(0), ..., B_n(n+1)): the constant terms of
-    the pieces p = 0..n of _bspline_pieces_exact, then B_n(n+1) = 0."""
-    return (*_bspline_pieces_exact(n)[0], Fraction(0))
 
 
 def bspline_derivative(n: int, order: int, x):
@@ -356,8 +343,8 @@ def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     inverse FFT of the N samples of F recovers the integer values with
     aliasing error O(N^(-alpha-2)).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
     s = alpha + 1.0
     N = max(4096, 1 << int(2 * mmax + 2).bit_length())
     t = np.arange(1, N) / N

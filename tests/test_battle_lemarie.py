@@ -17,12 +17,8 @@ from fracbesov.battle_lemarie import (
     wavelet_localized,
 )
 from fracbesov.frac_wavelets import natural_system, panel_rule
-from fracbesov.splines import (
-    bspline_filtered,
-    bspline_integer_samples,
-    bspline_natural,
-    bspline_ppform,
-)
+from fracbesov.splines import bspline_filtered, bspline_natural, bspline_ppform
+from test_natural_oracle import integer_samples
 from test_quadrature import graded_breaks
 
 # The root factorization of the filter layer, the independent reference of
@@ -40,7 +36,7 @@ def euler_frobenius_roots(n: int) -> list[float]:
     Found as magnitudes of the negative eigen-roots of the Laurent symbol
     z^n P_n(z) (companion-matrix eigenvalues via numpy, one Newton polish).
     """
-    sam = bspline_integer_samples(2 * n + 1)
+    sam = integer_samples(2 * n + 1)
     # polynomial coefficients a_0..a_{2n}, a_m = B_{2n+1}(m+1), exact rationals
     coeffs = [float(sam[m + 1]) for m in range(2 * n + 1)]
     roots = np.roots(coeffs[::-1])
@@ -121,7 +117,7 @@ TANGENT = tangent_numbers(9)
 def autocorrelation_symbol(n: int, omega) -> np.ndarray:
     """P_n(w) = sum_{|j| <= n} B_{2n+1}(n+1+j) cos(jw) (real by symmetry)."""
     omega = np.asarray(omega, dtype=float)
-    sam = bspline_integer_samples(2 * n + 1)
+    sam = integer_samples(2 * n + 1)
     out = np.full_like(omega, float(sam[n + 1]))
     for j in range(1, n + 1):
         out += 2.0 * float(sam[n + 1 + j]) * np.cos(j * omega)
@@ -214,20 +210,22 @@ class TestLambda:
             assert bl_system(n).lam[-1] == 2.0
 
     def test_exact_integers(self):
-        # lambda_j = (2 - [j = 0]) A(2n+1, n+j), A the Eulerian numbers by
-        # their recurrence, which are (2n+1)! B_{2n+1}(n+1+j) on the exact
-        # rational samples
+        # lambda_j = (2 - [j = 0]) A(2n+1, n+j), A(m, k) the Eulerian numbers
+        # by their recurrence A(m, k) = (k+1) A(m-1, k) + (m-k) A(m-1, k-1),
+        # which are (2n+1)! B_{2n+1}(n+1+j) on the Cox-de Boor samples
         euler = [[1]]
         for m in range(1, 18):
             prev = euler[-1] + [0]
             euler.append([(k + 1) * prev[k] + (m - k) * (prev[k - 1] if k else 0)
                           for k in range(m)])
+        assert euler[5] == [1, 26, 66, 26, 1]
+        assert bl_system(2).lam == (66.0, 52.0, 2.0)
         for n in range(1, 9):
             m = 2 * n + 1
             row = euler[m][n:]
-            sam = bspline_integer_samples(m)
-            assert [math.factorial(m) * sam[n + 1 + j] for j in range(n + 1)] == row
             assert bl_system(n).lam == tuple(float((2 - (j == 0)) * a) for j, a in enumerate(row))
+            sam = integer_samples(m)
+            assert [math.factorial(m) * sam[n + 1 + j] for j in range(n + 1)] == row
 
     def test_positive(self):
         for n in range(1, 7):

@@ -476,6 +476,22 @@ def test_bad_argument_raises_naming_it(call, name):
         call()
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5, math.inf, math.nan], ids=["0", "neg", "inf", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: wavelet_filter(a, 10),
+        lambda a: beta_star_integer_samples(a, 10),
+        lambda a: psi_frac(a, "causal", 0.1),
+        lambda a: Psi_combined(a, 2, "anticausal", 0.1),
+    ],
+    ids=["filter", "beta-star", "psi", "combined"],
+)
+def test_bad_alpha_raises_naming_it(call, alpha):
+    with pytest.raises(ValueError, match=r"^alpha must be"):
+        call(alpha)
+
+
 class TestMoleculeParams:
     def test_example_forward_set(self):
         p = molecule_params_for(2.0, 2.0, 0.0, 1.0, 5 / 3)

@@ -4,7 +4,8 @@ The first call of np.unique imports numpy.ma, 1.6 MB of peak RSS, and
 importing scipy.special takes longer than a whole benchmark set-up, so
 neither may be reached from the natural certification path.  The natural
 systems are built from exact integers in closed form, so no root or
-eigenvalue solver may be reached either.  The natural functions build
+eigenvalue solver may be reached either, and Python ints carry every exact
+value, so neither may fractions or decimal.  The natural functions build
 their pp-form tables once, so repeated certification allocates only the
 per-call arrays of the points inside each support.  The checks run in a
 fresh interpreter, where no other test has imported or cached anything.
@@ -33,7 +34,8 @@ for s in (0.0, 1.0):
     params = molecule_params_for(2.0, 2.0, s, 1.0, 3.0)
     molecule_check(nat.scale_fn, (0, 0), params)
     molecule_check(molecule(nat.wavelet_fn, (1, 2)), (1, 2), params)
-print(json.dumps(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("scipy"))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in ("numpy.ma", "fractions", "decimal") or m.startswith("scipy"))))
 """
 
 

@@ -3,10 +3,13 @@
 B_n is computed at dyadic points in Fractions by the two-term recursion
 B_n(x) = (x B_{n-1}(x) + (n+1-x) B_{n-1}(x-1)) / n, point by point; every
 float input below is dyadic, so the oracle sees exactly the arguments the
-evaluators receive.  reference_filtered is the earlier evaluator, which
-built its pp-form table on every call and read every point: the evaluators
-that build the table once and read only the support must match it bit for
-bit on the certifier's own inputs.
+evaluators receive.  The same recursion on the integer coefficient lists
+of the pieces (Cox-de Boor) is the reference of the package's closed-form
+pieces and of the exact integer samples that the other test modules read.
+reference_filtered is the earlier evaluator, which built its pp-form table
+on every call and read every point: the evaluators that build the table
+once and read only the support must match it bit for bit on the
+certifier's own inputs.
 """
 
 import math
@@ -22,12 +25,11 @@ from fracbesov.battle_lemarie import _wavelet_taps, bl_system, wavelet_localized
 from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for
 from fracbesov.splines import (
     FractionalSpline,
+    _bspline_piece_int,
     _bspline_pieces,
-    _bspline_pieces_exact,
     _shaped,
     bspline_derivative,
     bspline_filtered,
-    bspline_integer_samples,
     bspline_natural,
     frac_bspline,
 )
@@ -38,6 +40,37 @@ def exact_bspline(n: int, x: Fraction) -> Fraction:
     if n == 0:
         return Fraction(1) if 0 <= x < 1 else Fraction(0)
     return (x * exact_bspline(n - 1, x) + (n + 1 - x) * exact_bspline(n - 1, x - 1)) / n
+
+
+def cox_de_boor_pieces(n: int) -> list[list[int]]:
+    """P[p][d] with n! B_n(f + p) = sum_d P[p][d] f^d on 0 <= f < 1, p = 0..n.
+
+    The Cox-de Boor recursion k! B_k(f + p) = (f + p) (k-1)! B_{k-1}(f + p)
+    + (k + 1 - p - f) (k-1)! B_{k-1}(f + p - 1) on the integer coefficient
+    lists of the pieces, from 0! B_0 = [1] on p = 0.
+    """
+    P = [[1]]  # P[p][d] of k! B_k at level k, pieces p = 0..k
+    for k in range(1, n + 1):
+        nxt = []
+        for p in range(k + 1):
+            acc = [0] * (k + 1)
+            if p < k:  # (f + p) B_{k-1}(f + p)
+                for d, a in enumerate(P[p]):
+                    acc[d] += p * a
+                    acc[d + 1] += a
+            if p > 0:  # (k + 1 - p - f) B_{k-1}(f + p - 1)
+                for d, a in enumerate(P[p - 1]):
+                    acc[d] += (k + 1 - p) * a
+                    acc[d + 1] -= a
+            nxt.append(acc)
+        P = nxt
+    return P
+
+
+def integer_samples(n: int) -> tuple[Fraction, ...]:
+    """Exact (B_n(0), ..., B_n(n+1)): the recursion's constant terms over n!, then 0."""
+    nf = math.factorial(n)
+    return (*(Fraction(piece[0], nf) for piece in cox_de_boor_pieces(n)), Fraction(0))
 
 
 def exact_filtered(n, u, c, k0):
@@ -76,8 +109,25 @@ def test_filtered_matches_exact(n):
 
 
 def test_integer_samples_match_exact():
+    # the closed form's constant terms, and its 0 at p = n + 1, against the
+    # point recursion; the piece recursion's samples against the same
     for n in range(12):
-        assert bspline_integer_samples(n) == tuple(exact_bspline(n, Fraction(j)) for j in range(n + 2))
+        exact = tuple(exact_bspline(n, Fraction(j)) for j in range(n + 2))
+        nf = math.factorial(n)
+        assert tuple(Fraction(_bspline_piece_int(n, 0, j), nf) for j in range(n + 2)) == exact
+        assert integer_samples(n) == exact
+
+
+def test_closed_form_matches_recursion():
+    # the ints exactly to n = 17, the order bl_system(8) reads, and the
+    # float table as the rationals rounded once, as float(Fraction) does
+    for n in range(18):
+        P = cox_de_boor_pieces(n)
+        assert [[_bspline_piece_int(n, d, p) for d in range(n + 1)] for p in range(n + 1)] == P
+        if n <= 15:
+            nf = math.factorial(n)
+            rounded = [[float(Fraction(P[p][d], nf)) for p in range(n + 1)] for d in range(n + 1)]
+            assert np.array_equal(_bspline_pieces(n), np.array(rounded))
 
 
 def poly_derivative_at(coeffs, r: int, f: int) -> Fraction:
@@ -90,7 +140,8 @@ def poly_derivative_at(coeffs, r: int, f: int) -> Fraction:
 
 @pytest.mark.parametrize("n", range(9))
 def test_exact_pieces(n):
-    P = _bspline_pieces_exact(n)
+    nf = math.factorial(n)
+    P = [[Fraction(_bspline_piece_int(n, d, p), nf) for p in range(n + 1)] for d in range(n + 1)]
     pieces = [[P[d][p] for d in range(n + 1)] for p in range(n + 1)]
     zero = [Fraction(0)] * (n + 1)
     # partition of unity: the pieces sum to the constant polynomial 1
@@ -102,7 +153,7 @@ def test_exact_pieces(n):
         for r in range(n):
             assert poly_derivative_at(left, r, 1) == poly_derivative_at(right, r, 0)
     # constant terms are the integer samples
-    assert P[0] == list(bspline_integer_samples(n)[: n + 1])
+    assert P[0] == [exact_bspline(n, Fraction(p)) for p in range(n + 1)]
     # the reflection B_n(p + 1 - f) = B_n(n - p + f) that bspline_filtered
     # uses for offsets above 1/2: coefficient k of piece p at 1 - f
     for p in range(n + 1):

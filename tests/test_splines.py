@@ -12,11 +12,11 @@ from fracbesov.splines import (
     beta_plus_filtered,
     beta_star_integer_samples,
     bspline_derivative,
-    bspline_integer_samples,
     bspline_natural,
     frac_bspline,
     frac_bspline_derivative,
 )
+from test_natural_oracle import integer_samples
 
 
 class TestNaturalBSpline:
@@ -49,12 +49,16 @@ class TestNaturalBSpline:
             assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_integer_samples_exact(self):
-        sam = bspline_integer_samples(3)
+        # the exact samples of the Cox-de Boor oracle, and B_n at the knots
+        # as those rationals rounded once
+        sam = integer_samples(3)
         assert [float(s) for s in sam] == pytest.approx(
             [0.0, 1 / 6, 4 / 6, 1 / 6, 0.0], abs=0
         )
         for n in range(1, 8):
-            assert sum(bspline_integer_samples(n)) == 1
+            assert sum(integer_samples(n)) == 1
+            knots = bspline_natural(n, np.arange(n + 2.0))
+            assert knots.tolist() == [float(s) for s in integer_samples(n)]
 
     def test_derivative_matches_fd(self):
         for n, order, x in [(3, 1, 1.3), (5, 2, 2.7), (7, 4, 3.1)]:
