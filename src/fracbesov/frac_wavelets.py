@@ -186,6 +186,12 @@ class MoleculeParams:
     s: float
 
     def __post_init__(self):
+        for name in ("s", "M", "J", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        N = self.N
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < -1:
+            raise ValueError(f"N must be an integer >= -1, got {N!r}")
         if not (self.s - math.floor(self.s)) < self.delta <= 1.0:
             raise ValueError("need s - [s] < delta <= 1")
         if not self.M > self.J:
@@ -284,17 +290,10 @@ def _grid_tables(M: float, delta: float) -> tuple:
     return tables
 
 
-@lru_cache(maxsize=32)
-def _gl_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(npts)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def panel_rule(breaks: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights for the panels defined by ``breaks``."""
     breaks = np.asarray(breaks, dtype=float)
-    x, w = _gl_rule(npts)
+    x, w = np.polynomial.legendre.leggauss(npts)
     a = breaks[:-1]
     h = np.diff(breaks)
     nodes = a[:, None] + (x[None, :] + 1.0) * (h[:, None] / 2.0)
@@ -340,17 +339,22 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
 
     ``fn`` is the candidate molecule m_Q itself, built from a function f as
-    molecule(f, Q), and is called once, on the grid, the central-difference
-    points and the (M1) nodes together.  D^gamma m_Q, gamma = 0..[s], is tabulated
-    on the reference grid x_Q + y / 2^nu, y the lattice k/16 on [-25, 25],
-    the derivatives as nested central differences with step 1e-5 / 2^nu.
-    The envelopes are read in y, so their tables are built once per
-    (M, delta) (_grid_tables), and every ratio is max |D^gamma m_Q| / table
-    times 2^(-nu/2 - nu gamma).  (M4) reads the grid pairs of strides 1, 4,
-    16, 64.  (M1) takes a 12-point panel rule on the lattice k/8 over the
-    grid's range, built once; it is void for N < 0.  Each condition maps
-    to its "value" and "ratio"; report-only: ratios > 1 mean the condition
-    fails.  A Q that is not a dyadic cube raises ValueError.
+    molecule(f, Q), and is called once, on the 2 [s] + 1 shifted grids and
+    the (M1) nodes together; it must return one value per point.
+    D^gamma m_Q, gamma = 0..[s], is tabulated on the reference grid x_Q +
+    y / 2^nu, y the lattice k/16 on [-25, 25], from the values at grid +
+    k h, k = -[s]..[s], h = 1e-5 / 2^nu: D^0 is the values on the grid and
+    D^gamma the gamma-fold central difference sum_i (-1)^i binom(gamma, i)
+    m_Q(x + (gamma - 2i) h) / (2h)^gamma.  The envelopes are read in y, so
+    their tables are built once per (M, delta) (_grid_tables), and each
+    ratio max |D^gamma m_Q| / table times 2^(-nu/2 - nu gamma) is computed
+    once: (M2) reads gamma = 0 and (M3) the largest over its gammas.  (M4)
+    reads the grid pairs of strides 1, 4, 16, 64.  (M1) takes a 12-point
+    panel rule on the lattice k/8 over the grid's range, built once; it is
+    void for N < 0.  Each condition maps to its "value" and "ratio";
+    report-only: ratios > 1 mean the condition fails.  A Q that is not a
+    dyadic cube raises ValueError, and so does an fn whose values do not
+    match its points one to one.
     """
     nu, tau = _dyadic_cube(Q)
     x_q = tau / 2.0**nu
@@ -363,30 +367,21 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     env, ix, iy, weight = _grid_tables(expo, delta)
     grid = x_q + _GRID_Y / scale
 
-    # one fn call.  D^g is the nested central difference (D^(g-1)(x + h) -
-    # D^(g-1)(x - h)) / 2h, whose 2^g arguments, those of D^(g-1) each
-    # split into + h and - h, are rows 2^g - 1 .. 2^(g+1) - 2; the (M1)
-    # nodes (void for N < 0 and absent from the starred nu = 0 set) follow
+    # one fn call: the rows grid + k h, k = -gmax..gmax, then the (M1)
+    # nodes (void for N < 0 and absent from the starred nu = 0 set)
     h = 1e-5 / scale
     gmax = max(s_floor, 0)
-    level, args = [grid], [grid]
-    for _ in range(gmax):
-        level = [q for p in level for q in (p + h, p - h)]
-        args += level
-    n_rows = len(args)
+    pts = (grid + h * np.arange(-gmax, gmax + 1.0)[:, None]).ravel()
     moments = N >= 0 and nu >= 1
     if moments:
         nodes, wts = _moment_rule()
         nodes, wts = x_q + nodes / scale, wts / scale
-        args.append(nodes)
-    vals = np.asarray(fn(np.concatenate(args)))
-    rows = vals[: n_rows * grid.size].reshape(n_rows, grid.size)
-    table = []
-    for g in range(gmax + 1):
-        d = rows[2**g - 1 : 2 ** (g + 1) - 1]
-        for _ in range(g):
-            d = (d[0::2] - d[1::2]) / (2.0 * h)
-        table.append(d[0])
+        pts = np.concatenate([pts, nodes])
+    vals = np.asarray(fn(pts))
+    if vals.size != pts.size:
+        raise ValueError(f"fn must return one value per point, got shape {vals.shape} "
+                         f"for {pts.size} points")
+    rows = vals[: (2 * gmax + 1) * grid.size].reshape(2 * gmax + 1, grid.size)
     report = MoleculeReport(nu=nu, tau=tau)
 
     # (M1): vanishing moments up to N
@@ -395,29 +390,29 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
         worst = np.max([abs(np.dot(wts, nodes**g * m1)) for g in range(N + 1)])
         report.conditions["M1"] = {"value": float(worst), "ratio": None}
 
+    # D^g = sum_i (-1)^i C(g, i) row[g - 2i] / (2h)^g, row[k] the values at
+    # grid + k h, and ratio[g] = max |D^g m_Q| / env 2^(-nu/2 - nu g)
+    ratio, d = [], rows[gmax]
+    for g in range(gmax + 1):
+        if g:
+            signed = [(-1) ** (g - j) * math.comb(g, j) for j in range(g + 1)]
+            d = np.dot(signed, rows[gmax - g : gmax + g + 1 : 2]) / (2.0 * h) ** g
+        ratio.append(float(np.max(np.abs(d) / env)) * 2.0 ** (-nu / 2.0 - nu * g))
     star = "" if nu >= 1 else "*"
 
     # (M2): size envelope
-    v = np.abs(table[0])
-    report.conditions["M2" + star] = {
-        "value": float(np.max(v)),
-        "ratio": float(np.max(v / env)) * 2.0 ** (-nu / 2.0),
-    }
+    peak = float(np.max(np.abs(rows[gmax])))
+    report.conditions["M2" + star] = {"value": peak, "ratio": ratio[0]}
 
-    # (M3)/(M4) void if s < 0
+    # (M3)/(M4) void if s < 0; d is D^[s] here
     if s >= 0:
-        gammas = range(0, s_floor + 1) if nu >= 1 else range(1, s_floor + 1)
+        gammas = ratio if nu >= 1 else ratio[1:]
         if gammas:
-            worst3 = np.max(
-                [np.max(np.abs(table[g]) / env) * 2.0 ** (-nu / 2.0 - nu * g) for g in gammas]
-            )
-            report.conditions["M3" + star] = {"value": None, "ratio": float(worst3)}
-
-        g = s_floor
-        diff = np.abs(table[g][ix] - table[g][iy])
+            report.conditions["M3" + star] = {"value": None, "ratio": float(np.max(gammas))}
+        diff = np.abs(d[ix] - d[iy])
         report.conditions["M4" + star] = {
             "value": float(np.max(diff)),
-            "ratio": float(np.max(diff / weight)) * 2.0 ** (-nu / 2.0 - nu * g),
+            "ratio": float(np.max(diff / weight)) * 2.0 ** (-nu / 2.0 - nu * gmax),
         }
     return report
 

@@ -18,7 +18,7 @@ _ZETA_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 def hurwitz_zeta(s: float, a):
-    """Hurwitz zeta(s, a) = sum_{k>=0} (a + k)^(-s) for real s > 1, a > 0.
+    """Hurwitz zeta(s, a) = sum_{k>=0} (a + k)^(-s) for real 1 < s < inf, 0 < a < inf.
 
     Euler-Maclaurin (DLMF 25.11): the first 12 terms directly, then with
     x = a + 12 the integral x^(1-s)/(s-1), the half term x^(-s)/2 and the
@@ -28,10 +28,10 @@ def hurwitz_zeta(s: float, a):
     temporaries are one (12,) + a.shape array.
     """
     a = np.asarray(a, dtype=float)
-    if not s > 1.0:
-        raise ValueError(f"hurwitz_zeta requires s > 1, got {s}")
-    if not np.all(a > 0.0):
-        raise ValueError("hurwitz_zeta requires a > 0")
+    if not 1.0 < s < np.inf:
+        raise ValueError(f"hurwitz_zeta requires 1 < s < inf, got s = {s}")
+    if not np.all((a > 0.0) & (a < np.inf)):
+        raise ValueError("hurwitz_zeta requires 0 < a < inf for every a")
     x = a + _ZETA_DIRECT
     xs = x ** -s
     tail = x * xs / (s - 1.0) + xs / 2.0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbesov import frac_wavelets as fw
+from fracbesov import splines
 from fracbesov.battle_lemarie import bl_system, scaling_localized, wavelet_localized
 from fracbesov.frac_wavelets import (
     InfeasibleOrderError,
@@ -38,8 +39,8 @@ from test_quadrature import graded_breaks
 def _x_space_conditions(fn, Q, params):
     """Reference (M1)-(M4) report: the envelopes built in x on every call.
 
-    fn is called separately for the values, each side of the nested
-    central difference and the (M1) nodes.
+    fn is called separately for the values, each point of the central
+    difference and the (M1) nodes.
     """
     nu, tau = Q
     x_q = tau / 2.0**nu
@@ -49,10 +50,13 @@ def _x_space_conditions(fn, Q, params):
     grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / scale
 
     def deriv(gamma, xs):
+        # the gamma-fold central difference with step h
         if gamma == 0:
             return fn(xs)
         h = 1e-5 / scale
-        return (deriv(gamma - 1, xs + h) - deriv(gamma - 1, xs - h)) / (2.0 * h)
+        terms = ((-1) ** i * math.comb(gamma, i) * fn(xs + (gamma - 2 * i) * h)
+                 for i in range(gamma + 1))
+        return sum(terms) / (2.0 * h) ** gamma
 
     table = [np.asarray(deriv(g, grid)) for g in range(max(s_floor, 0) + 1)]
     out = {}
@@ -216,10 +220,10 @@ class TestFilter:
             assert abs(ip) < 5e-4
 
     def test_cached_arrays_read_only(self):
-        # the cached filter, its symmetric samples and the Gauss rule are
+        # the cached filter, its symmetric samples and the (M1) rule are
         # shared by every caller: an in-place write must not reach the cache
         before = psi_frac(0.5, "causal", 0.3, trunc=60)
-        shared = (wavelet_filter(0.5, 60), beta_star_integer_samples(2.0, 170), *fw._gl_rule(12))
+        shared = (wavelet_filter(0.5, 60), beta_star_integer_samples(2.0, 170), *fw._moment_rule())
         for arr in shared:
             with pytest.raises(ValueError):
                 arr *= 2.0
@@ -453,6 +457,37 @@ class TestPsiCombined:
             assert abs(f_Psi - transfer * f_psi) < 2e-4
 
 
+def _params(**fields):
+    """Example 5.1's forward MoleculeParams with the given fields replaced."""
+    base = dict(delta=0.5, M=2.0, N=0, J=1.0, s=0.0)
+    return MoleculeParams(**{**base, **fields})
+
+
+@pytest.mark.parametrize("variant", ["causal", "anticausal"])
+@pytest.mark.parametrize("alpha", [0.5, 4 / 3, 5 / 3])
+@pytest.mark.parametrize("block", [50, 997])
+def test_chunked_evaluation_matches_default(block, alpha, variant, monkeypatch):
+    # a small working-memory block runs beta_plus_filtered's loop over
+    # offset chunks and _toeplitz_product's column blocks, which the default
+    # block never splits at these sizes; measured <= 2.4e-13 of max.  At
+    # 13/3 Psi moves by up to 8.9e-10 of max|Psi|, the tail cancellation of
+    # beta_+ regrouped (ROADMAP item 2), so that order is left out.  At
+    # block 50 every offset is its own chunk and every column its own
+    # block, 8 ms per point for Psi, so Psi takes the first 30 points there
+    x = np.random.default_rng(23).uniform(-15.0, 15.0, 300)
+    spec = FractionalSpline(alpha, variant)
+    cases = [
+        (lambda x: frac_bspline(spec, x), x),
+        (lambda x: Psi_combined(alpha, 2, variant, x, trunc=80), x if block > 50 else x[:30]),
+    ]
+    for fn, pts in cases:
+        want = fn(pts)
+        monkeypatch.setattr(splines, "_BLOCK", block)
+        got = fn(pts)
+        monkeypatch.undo()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -467,9 +502,22 @@ class TestPsiCombined:
         (lambda: bl_system(9), "n"),
         (lambda: Psi_combined(5 / 3, 2.0, "causal", 0.3), "n"),
         (lambda: natural_system(0), "n"),
+        # MoleculeParams checks its own fields: s = NaN and inf failed inside
+        # math.floor, and N = 0.5 and N = True were accepted
+        (lambda: _params(s=math.nan), "s"),
+        (lambda: _params(s=math.inf), "s"),
+        (lambda: _params(M=math.inf), "M"),
+        (lambda: _params(J=math.nan), "J"),
+        (lambda: _params(delta=math.nan), "delta"),
+        (lambda: _params(N=0.5), "N"),
+        (lambda: _params(N=True), "N"),
+        (lambda: _params(N=-2), "N"),
+        (lambda: _params(N=np.float64(0)), "N"),
     ],
     ids=["spline-nan", "spline-inf", "params-alpha", "params-s", "params-r_w",
-         "bl-float", "bl-bool", "bl-9", "combined-float", "natural-0"],
+         "bl-float", "bl-bool", "bl-9", "combined-float", "natural-0",
+         "fields-s-nan", "fields-s-inf", "fields-M-inf", "fields-J-nan", "fields-delta-nan",
+         "fields-N-half", "fields-N-bool", "fields-N-neg", "fields-N-float"],
 )
 def test_bad_argument_raises_naming_it(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
@@ -588,12 +636,14 @@ class TestMoleculeCheck:
         for cond in ("M2", "M3", "M4"):
             assert reps[1][cond]["ratio"] == pytest.approx(reps[0][cond]["ratio"], rel=1e-9)
 
-    def test_single_evaluation(self):
-        # fn is called once, on the grid and both sides of the central
-        # difference at s = 1; N = -1 here, so there is no (M1)
-        params = molecule_params_for(2.0, 2.0, 1.0, 1.0, 3.0)
+    @pytest.mark.parametrize("n, s", [(3, 1), (4, 2)])
+    def test_single_evaluation(self, n, s):
+        # fn is called once, on the 2s + 1 grids x + k h, k = -s..s, of the
+        # s-fold central difference (s = 2 took 7 before the stencil); N =
+        # -1 here, so there is no (M1)
+        params = molecule_params_for(2.0, 2.0, float(s), 1.0, float(n))
         assert params.N == -1
-        m_q = molecule(natural_system(3).wavelet_fn, (1, 2))
+        m_q = molecule(natural_system(n).wavelet_fn, (1, 2))
         seen = []
 
         def fn(x):
@@ -602,7 +652,7 @@ class TestMoleculeCheck:
 
         rep = molecule_check(fn, (1, 2), params)
         assert {"M2", "M3", "M4"} <= set(rep.conditions)
-        assert seen == [3 * 801]
+        assert seen == [(2 * s + 1) * 801]
 
     def test_single_evaluation_with_moments(self):
         # N = 0 at nu = 1: the grid and the 4800 (M1) nodes in one call
@@ -619,7 +669,7 @@ class TestMoleculeCheck:
         assert {"M1", "M2", "M3", "M4"} == set(rep.conditions)
         assert seen == [801 + 4800]
 
-    # s = 2 nests the central difference twice
+    # s = 2 takes the two-fold central difference
     @pytest.mark.parametrize("n,s", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)])
     def test_natural_matches_x_space_oracle(self, n, s):
         params = molecule_params_for(2.0, 2.0, float(s), 1.0, float(n))
@@ -634,6 +684,25 @@ class TestMoleculeCheck:
         sysf = fractional_system(5 / 3, "causal", 2, trunc=60)
         _assert_matches_oracle(sysf.scale_fn, (0, 0), params)
         _assert_matches_oracle(molecule(sysf.wavelet_fn, (1, 0)), (1, 0), params)
+
+    @pytest.mark.parametrize(
+        "fn", [lambda x: 0.0, lambda x: np.ones(3), lambda x: np.ones(np.size(x) - 1)],
+        ids=["scalar", "three", "one-short"])
+    @pytest.mark.parametrize("Q", [(0, 0), (1, 0)])
+    def test_fn_must_return_one_value_per_point(self, fn, Q):
+        # a scalar failed as a 0-d IndexError, three values in numpy's
+        # reshape; at (1, 0) the (M1) nodes follow the grid in the same call
+        params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match=r"^fn must return one value per point, got shape"):
+            molecule_check(fn, Q, params)
+
+    def test_numpy_integer_moment_index(self):
+        # N may be a numpy integer, which reports as the Python int does
+        f = molecule(natural_system(3).wavelet_fn, (1, 0))
+        reports = [
+            molecule_check(f, (1, 0), _params(N=N)).conditions for N in (1, np.int64(1))
+        ]
+        assert reports[0] == reports[1] and "M1" in reports[0]
 
     def test_underflowing_envelope_raises(self):
         # (1 + 25)^-M underflows the (M4) weights at the grid's edge

@@ -21,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracbesov import frac_wavelets as fw
 from fracbesov.battle_lemarie import _wavelet_taps, bl_system, wavelet_localized
-from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for
+from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for, natural_system
 from fracbesov.splines import (
     FractionalSpline,
     _bspline_piece_int,
@@ -323,3 +324,35 @@ def test_bit_identical_to_reference(n):
     odd = np.array([np.nan, np.inf, -np.inf, -0.0, -1e-20, 1e300])
     ref = reference_filtered(n, odd, [1.0], 0)
     assert np.array_equal(bspline_natural(n, odd), ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 2.5e-5), (3, 1e-9), (4, 1e-9)])
+def test_certifier_matches_exact_derivative(n, bound):
+    # bl-certify's s = 1 reports against (M3)/(M4) from the exact D^1 on the
+    # same grid and envelope tables: B_n' for the scale function at nu = 0,
+    # and for the wavelet kappa_n sum_k d_k B_n(2x + n - k) the derivative
+    # 2 kappa_n sum_k (d * [1, -1])_k B_(n-1)(2x + n - k).  The knots lie
+    # on the grid, and at s = n - 1
+    # D^(s+1) jumps there, so the central difference errs by O(h), about
+    # jump h / 4: at n = 2 the reports read low by up to 1.9e-5 ((M3)
+    # 5.134803 against 5.134899, (M3*) 8.9999325 against 9), at n = 3, 4
+    # by at most 6.8e-10
+    params = molecule_params_for(2.0, 2.0, 1.0, 1.0, float(n))
+    env, ix, iy, weight = fw._grid_tables(params.M, params.delta)
+    sys, nat = bl_system(n), natural_system(n)
+    taps = np.convolve(_wavelet_taps(sys), [1.0, -1.0])
+    for nu, tau in ((0, 0), (1, 0), (2, 3)):
+        y = fw._GRID_Y  # 2^nu x - tau on the certifier's grid, exactly
+        if nu == 0:
+            fn, d0, d1 = nat.scale_fn, nat.scale_fn(y), bspline_derivative(n, 1, y)
+        else:
+            fn, d0 = molecule(nat.wavelet_fn, (nu, tau)), nat.wavelet_fn(y)
+            d1 = 2.0 * sys.kappa * bspline_filtered(n - 1, 2.0 * y + n, taps, -n)
+        # D^g m_Q = 2^(nu/2 + nu g) f^(g)(y), and the certifier divides that back out
+        r0, r1 = (float(np.max(np.abs(d) / env)) for d in (d0, d1))
+        m4 = float(np.max(np.abs(d1[ix] - d1[iy]) / weight))
+        star = "" if nu >= 1 else "*"
+        got = molecule_check(fn, (nu, tau), params).conditions
+        want = {"M3": max(r0, r1) if nu >= 1 else r1, "M4": m4}
+        for cond, ref in want.items():
+            assert abs(got[cond + star]["ratio"] - ref) <= bound * ref, (nu, cond)

@@ -31,11 +31,12 @@ class TestHurwitz:
         assert got == pytest.approx(ref, rel=1e-14)
 
     def test_domain(self):
-        for s in (1.0, 0.5, -2.0):
-            with pytest.raises(ValueError):
+        # s = inf and a = inf warned "invalid value" and returned NaN
+        for s in (1.0, 0.5, -2.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="1 < s < inf"):
                 hurwitz_zeta(s, 0.5)
-        for a in (0.0, -0.25, np.array([0.5, 0.0]), np.nan):
-            with pytest.raises(ValueError):
+        for a in (0.0, -0.25, np.array([0.5, 0.0]), np.nan, np.inf, np.array([0.5, np.inf])):
+            with pytest.raises(ValueError, match="0 < a < inf"):
                 hurwitz_zeta(2.0, a)
 
 
