@@ -354,7 +354,7 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     void for N < 0.  Each condition maps to its "value" and "ratio";
     report-only: ratios > 1 mean the condition fails.  A Q that is not a
     dyadic cube raises ValueError, and so does an fn whose values do not
-    match its points one to one.
+    have the points' 1-D shape.
     """
     nu, tau = _dyadic_cube(Q)
     x_q = tau / 2.0**nu
@@ -378,7 +378,7 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
         nodes, wts = x_q + nodes / scale, wts / scale
         pts = np.concatenate([pts, nodes])
     vals = np.asarray(fn(pts))
-    if vals.size != pts.size:
+    if vals.shape != pts.shape:
         raise ValueError(f"fn must return one value per point, got shape {vals.shape} "
                          f"for {pts.size} points")
     rows = vals[: (2 * gmax + 1) * grid.size].reshape(2 * gmax + 1, grid.size)

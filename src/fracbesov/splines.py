@@ -329,7 +329,6 @@ def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray | float:
     return _shaped(out, u)
 
 
-@lru_cache(maxsize=32)
 def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     """beta_*^alpha at the integers -mmax..mmax via Poisson summation.
 
@@ -341,10 +340,13 @@ def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     and F(0) = 1.  On the grid t = k/N, N a power of two, 1 - t is exactly
     the mirrored grid point, so one zeta evaluation serves both terms.  An
     inverse FFT of the N samples of F recovers the integer values with
-    aliasing error O(N^(-alpha-2)).
+    aliasing error O(N^(-alpha-2)).  An alpha outside (0, inf), or an mmax
+    that is not an integer >= 0 (or is a bool), raises ValueError naming it.
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    if isinstance(mmax, bool) or not isinstance(mmax, numbers.Integral) or mmax < 0:
+        raise ValueError(f"mmax must be an integer >= 0, got {mmax!r}")
     s = alpha + 1.0
     N = max(4096, 1 << int(2 * mmax + 2).bit_length())
     t = np.arange(1, N) / N
@@ -353,9 +355,7 @@ def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     F[0] = 1.0
     F[1:] = (np.sin(np.pi * t) / np.pi) ** s * (z + z[::-1])
     coeffs = np.fft.ifft(F).real
-    sam = coeffs[np.arange(-mmax, mmax + 1) % N]
-    sam.flags.writeable = False
-    return sam
+    return coeffs[np.arange(-mmax, mmax + 1) % N]
 
 
 def frac_bspline(spec: FractionalSpline, x):
@@ -365,23 +365,3 @@ def frac_bspline(spec: FractionalSpline, x):
         y = -y
     return beta_plus_filtered(spec.alpha, y, np.ones(1), 0)
 
-
-def frac_bspline_derivative(spec: FractionalSpline, gamma: int, x):
-    """D^gamma beta^alpha = sum_j (-1)^j binom(gamma, j) beta^(alpha-gamma)(. - j).
-
-    One beta_plus_filtered pass of the lowered order with the signed
-    binomial row as its taps.  Valid down to alpha - gamma > -1/2;
-    anticausal derivatives pick up the reflection sign (-1)^gamma.
-    """
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    if spec.alpha - gamma <= -0.5:
-        raise ValueError(
-            f"order alpha-gamma = {spec.alpha - gamma} out of range (need > -1/2)"
-        )
-    y = np.asarray(x, dtype=float) - spec.shift_k
-    if spec.variant == "anticausal":
-        y = -y
-    row = [(-1.0) ** j * math.comb(gamma, j) for j in range(gamma + 1)]
-    acc = beta_plus_filtered(spec.alpha - gamma, y, row, 0)
-    return -acc if spec.variant == "anticausal" and gamma % 2 else acc

@@ -16,10 +16,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "fracbesov").glob("*.py"))
 BENCH = sorted((ROOT / "fracbench").glob("*.py"))
 
-ALLOWED = {
-    "frac_bspline_derivative": "the exact fractional derivative that replaces the "
-    "central difference",
-}
+ALLOWED = {}
 
 
 def _defined_names(node):

@@ -29,7 +29,6 @@ from fracbesov.splines import (
     beta_star_integer_samples,
     bspline_natural,
     frac_bspline,
-    frac_bspline_derivative,
 )
 from fracbesov.specfun import gbinom_row, hurwitz_zeta
 from test_battle_lemarie import root_pair, root_system
@@ -220,10 +219,10 @@ class TestFilter:
             assert abs(ip) < 5e-4
 
     def test_cached_arrays_read_only(self):
-        # the cached filter, its symmetric samples and the (M1) rule are
-        # shared by every caller: an in-place write must not reach the cache
+        # the cached filter and the (M1) rule are shared by every caller: an
+        # in-place write must not reach the cache
         before = psi_frac(0.5, "causal", 0.3, trunc=60)
-        shared = (wavelet_filter(0.5, 60), beta_star_integer_samples(2.0, 170), *fw._moment_rule())
+        shared = (wavelet_filter(0.5, 60), *fw._moment_rule())
         for arr in shared:
             with pytest.raises(ValueError):
                 arr *= 2.0
@@ -513,11 +512,16 @@ def test_chunked_evaluation_matches_default(block, alpha, variant, monkeypatch):
         (lambda: _params(N=True), "N"),
         (lambda: _params(N=-2), "N"),
         (lambda: _params(N=np.float64(0)), "N"),
+        # -1 returned no samples, 2.5 raised numpy's IndexError, True was 1
+        (lambda: beta_star_integer_samples(2.0, -1), "mmax"),
+        (lambda: beta_star_integer_samples(2.0, 2.5), "mmax"),
+        (lambda: beta_star_integer_samples(2.0, True), "mmax"),
     ],
     ids=["spline-nan", "spline-inf", "params-alpha", "params-s", "params-r_w",
          "bl-float", "bl-bool", "bl-9", "combined-float", "natural-0",
          "fields-s-nan", "fields-s-inf", "fields-M-inf", "fields-J-nan", "fields-delta-nan",
-         "fields-N-half", "fields-N-bool", "fields-N-neg", "fields-N-float"],
+         "fields-N-half", "fields-N-bool", "fields-N-neg", "fields-N-float",
+         "mmax-neg", "mmax-float", "mmax-bool"],
 )
 def test_bad_argument_raises_naming_it(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be"):
@@ -615,13 +619,20 @@ class TestMoleculeCheck:
             assert calibrate_constants(alpha, "causal", 2, params, nus=(0, 1), trunc=60) == consts
 
     def test_translation_covariance(self):
-        params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 5 / 3)
-        sysf = fractional_system(5 / 3, "causal", 2, trunc=60)
-        r0, r3 = (
-            molecule_check(molecule(sysf.wavelet_fn, Q), Q, params).max_envelope_ratio
-            for Q in ((1, 0), (1, 3))
-        )
-        assert r3 == pytest.approx(r0, rel=1e-9)
+        # dilation too: on the y-lattice m_Q reads Psi at the same points for
+        # every (nu, tau), and only the factor 2^(nu/2) rounds (3.3e-16 measured)
+        for s, alpha in ((0.0, 5 / 3), (-1 / 3, 4 / 3)):
+            params = molecule_params_for(2.0, 2.0, s, 1.0, alpha)
+            sysf = fractional_system(alpha, "causal", 2, trunc=60)
+            ref = molecule_check(molecule(sysf.wavelet_fn, (1, 0)), (1, 0), params).conditions
+            assert set(ref) == ({"M1", "M2", "M3", "M4"} if s >= 0 else {"M1", "M2"})
+            for nu in (1, 2, 3):
+                for tau in (-7, 0, 5):
+                    Q = (nu, tau)
+                    rep = molecule_check(molecule(sysf.wavelet_fn, Q), Q, params).conditions
+                    assert set(rep) == set(ref)
+                    for cond in set(ref) - {"M1"}:
+                        assert rep[cond]["ratio"] == pytest.approx(ref[cond]["ratio"], rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_natural_translation_covariance(self, n):
@@ -686,12 +697,16 @@ class TestMoleculeCheck:
         _assert_matches_oracle(molecule(sysf.wavelet_fn, (1, 0)), (1, 0), params)
 
     @pytest.mark.parametrize(
-        "fn", [lambda x: 0.0, lambda x: np.ones(3), lambda x: np.ones(np.size(x) - 1)],
-        ids=["scalar", "three", "one-short"])
+        "fn",
+        [lambda x: 0.0, lambda x: np.ones(3), lambda x: np.ones(np.size(x) - 1),
+         lambda x: np.zeros((np.size(x), 1))],
+        ids=["scalar", "three", "one-short", "column"])
     @pytest.mark.parametrize("Q", [(0, 0), (1, 0)])
     def test_fn_must_return_one_value_per_point(self, fn, Q):
         # a scalar failed as a 0-d IndexError, three values in numpy's
-        # reshape; at (1, 0) the (M1) nodes follow the grid in the same call
+        # reshape; at (1, 0) the (M1) nodes follow the grid in the same call.
+        # A column of the right size passed at (0, 0), and at (1, 0) broadcast
+        # (M1)'s nodes**g * m1 to a 4800 x 4800 product
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
         with pytest.raises(ValueError, match=r"^fn must return one value per point, got shape"):
             molecule_check(fn, Q, params)
@@ -856,10 +871,6 @@ class TestShapes:
         return [
             lambda x: frac_bspline(FractionalSpline(alpha=5 / 3), x),
             lambda x: frac_bspline(FractionalSpline(alpha=5 / 3, variant="anticausal"), x),
-            lambda x: frac_bspline_derivative(FractionalSpline(alpha=5 / 3), 1, x),
-            lambda x: frac_bspline_derivative(
-                FractionalSpline(alpha=13 / 3, variant="anticausal"), 2, x
-            ),
             lambda x: psi_frac(0.5, "causal", x),
             lambda x: psi_frac(5 / 3, "anticausal", x),
             lambda x: Psi_combined(5 / 3, 2, "causal", x),

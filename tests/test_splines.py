@@ -14,7 +14,6 @@ from fracbesov.splines import (
     bspline_derivative,
     bspline_natural,
     frac_bspline,
-    frac_bspline_derivative,
 )
 from test_natural_oracle import integer_samples
 
@@ -238,56 +237,42 @@ class TestSymmetricFractional:
         assert beta_star_integer_samples(a2, 2046).sum() == pytest.approx(1.0, abs=1e-13)
 
 
+def _lowered(alpha, gamma, y):
+    """D^gamma beta_+^alpha at y: beta_+^(alpha - gamma) with the signed
+    binomial row as its taps (Unser & Blu, SIAM Rev. 2000)."""
+    row = [(-1.0) ** j * math.comb(gamma, j) for j in range(gamma + 1)]
+    return beta_plus_filtered(alpha - gamma, y, row, 0)
+
+
 class TestDerivative:
     def test_first_interval_drops_order(self):
         # D beta_+^(3/2) = beta_+^(1/2) on [0, 1]
-        spec = FractionalSpline(alpha=1.5)
         lower = FractionalSpline(alpha=0.5)
-        assert frac_bspline_derivative(spec, 1, 0.5) == pytest.approx(
-            frac_bspline(lower, 0.5), rel=1e-13
-        )
+        assert _lowered(1.5, 1, 0.5) == pytest.approx(frac_bspline(lower, 0.5), rel=1e-13)
 
     def test_second_interval_two_terms(self):
-        spec = FractionalSpline(alpha=1.5)
         lower = FractionalSpline(alpha=0.5)
         expect = frac_bspline(lower, 1.5) - frac_bspline(lower, 0.5)
-        assert frac_bspline_derivative(spec, 1, 1.5) == pytest.approx(expect, rel=1e-12)
+        assert _lowered(1.5, 1, 1.5) == pytest.approx(expect, rel=1e-12)
 
     def test_fd_quotient(self):
         spec = FractionalSpline(alpha=5 / 3)
         h = 1e-5
         fd = (frac_bspline(spec, 0.7 + h) - frac_bspline(spec, 0.7 - h)) / (2 * h)
-        assert frac_bspline_derivative(spec, 1, 0.7) == pytest.approx(fd, abs=1e-4)
+        assert _lowered(5 / 3, 1, 0.7) == pytest.approx(fd, abs=1e-4)
 
     def test_negative_lowered_order_is_finite(self):
         # alpha - gamma = -0.2: batching points must not raise the clipped
         # terms 0^(-0.2) = inf; the array call equals the scalar calls
-        spec = FractionalSpline(alpha=0.8)
         xs = np.array([0.5, 2.5])
-        got = frac_bspline_derivative(spec, 1, xs)
+        got = _lowered(0.8, 1, xs)
         assert np.all(np.isfinite(got))
         for x, g in zip(xs, got):
-            assert g == pytest.approx(
-                frac_bspline_derivative(spec, 1, float(x)), rel=1e-13
-            )
+            assert g == pytest.approx(_lowered(0.8, 1, float(x)), rel=1e-13)
         # on (0, 1) only x^(-0.2) / Gamma(0.8) survives
         assert got[0] == pytest.approx(0.5**-0.2 / math.gamma(0.8), rel=1e-13)
         # at an integer the zero base counts as 0: the finite left derivative
-        assert frac_bspline_derivative(spec, 1, 1.0) == pytest.approx(
-            1.0 / math.gamma(0.8), rel=1e-13
-        )
-
-    def test_order_out_of_range(self):
-        with pytest.raises(ValueError):
-            frac_bspline_derivative(FractionalSpline(alpha=0.5), 1, 0.3)
-
-    def test_anticausal_mirror(self):
-        plus = FractionalSpline(alpha=5 / 3, variant="causal")
-        minus = FractionalSpline(alpha=5 / 3, variant="anticausal")
-        for x in (0.3, 1.2, 2.6):
-            assert frac_bspline_derivative(minus, 1, -x) == pytest.approx(
-                -frac_bspline_derivative(plus, 1, x), rel=1e-12, abs=1e-14
-            )
+        assert _lowered(0.8, 1, 1.0) == pytest.approx(1.0 / math.gamma(0.8), rel=1e-13)
 
 
 class TestNonFinite:
@@ -296,10 +281,12 @@ class TestNonFinite:
     @pytest.mark.parametrize("alpha", [0.5, 5 / 3, 2.0, 13 / 3])
     def test_non_finite_gives_nan(self, alpha, variant):
         # every non-finite point gives NaN, and the finite points equal the
-        # finite-only call bit for bit
+        # finite-only call bit for bit; the derivatives read the reflected
+        # y of the anticausal variant, without its sign (-1)^g
         spec = FractionalSpline(alpha=alpha, variant=variant)
+        flip = -1.0 if variant == "anticausal" else 1.0
         fns = [lambda x: frac_bspline(spec, x)] + [
-            lambda x, g=g: frac_bspline_derivative(spec, g, x)
+            lambda x, g=g: _lowered(alpha, g, flip * np.asarray(x))
             for g in range(1, math.ceil(alpha + 0.5))
         ]
         finite = np.array([-1.5, 0.25, 0.7, 2.5, 3.9])
