@@ -19,7 +19,8 @@ k/16 on [-25, 25] in the scaled variable y = 2^nu (x - x_Q) of a dyadic
 cube Q = (nu, tau) (integers, nu >= 0), with one call of the molecule
 m_Q = molecule(f, Q) (its values, the central differences of its
 derivatives and the (M1) nodes together); the grid, its envelope tables
-and the (M1) rule are the same for every (nu, tau).  The calibration of
+and the (M1) rule, 12-point Gauss panels between consecutive
+half-integers of y, are the same for every (nu, tau).  The calibration of
 c0 and c reads only the envelope conditions (M2)-(M4) and skips the
 moment quadrature of (M1).  A WaveletSystem is the pair (scale_fn,
 wavelet_fn) of the natural Battle-Lemarie system, divided by Lambda' and
@@ -291,8 +292,17 @@ def _grid_tables(M: float, delta: float) -> tuple:
 
 
 def panel_rule(breaks: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for the panels defined by ``breaks``."""
+    """Gauss-Legendre nodes/weights for the panels defined by ``breaks``.
+
+    ``breaks`` must be 1-D, finite and strictly increasing, with at least
+    two entries, so that every weight is positive; otherwise ValueError
+    names breaks.
+    """
     breaks = np.asarray(breaks, dtype=float)
+    if not (breaks.ndim == 1 and breaks.size >= 2 and np.isfinite(breaks).all()
+            and (np.diff(breaks) > 0).all()):
+        raise ValueError("breaks must be 1-D, finite and strictly increasing with at "
+                         f"least 2 entries, got {breaks!r}")
     x, w = np.polynomial.legendre.leggauss(npts)
     a = breaks[:-1]
     h = np.diff(breaks)
@@ -305,12 +315,15 @@ def panel_rule(breaks: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarr
 def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
     """(M1) nodes and weights in y over the grid's range [-25, 25], read-only.
 
-    12-point Gauss-Legendre panels between neighbours of the uniform
-    lattice k/8, every other grid point, so every half-integer of y is a
-    panel end, and so is every k / 2^(nu+1) of x = x_Q + y / 2^nu, since
-    x_Q = tau / 2^nu lies on that lattice.
+    12-point Gauss-Legendre panels between consecutive half-integers of y
+    (every eighth grid point), 100 panels and 1200 nodes.  Every
+    half-integer of y is a panel end, and so is every k / 2^(nu+1) of x =
+    x_Q + y / 2^nu, since x_Q = tau / 2^nu lies on that lattice: the knots
+    of a natural molecule (u = 2y + n for the Battle-Lemarie wavelet, u =
+    2y for Psi), so each polynomial piece up to degree 23 is integrated
+    exactly.
     """
-    nodes, wts = panel_rule(_GRID_Y[::2], 12)
+    nodes, wts = panel_rule(_GRID_Y[::8], 12)
     nodes.flags.writeable = wts.flags.writeable = False
     return nodes, wts
 
@@ -335,6 +348,11 @@ def molecule(fn, Q: tuple[int, int]) -> Callable:
     return lambda x: 2.0 ** (nu / 2.0) * fn(2.0**nu * x - tau)
 
 
+def _worst(values: list) -> float:
+    """The largest of a few floats, NaN if one is NaN, as np.max gives."""
+    return math.nan if any(v != v for v in values) else max(values)
+
+
 def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeReport:
     """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
 
@@ -350,11 +368,12 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     ratio max |D^gamma m_Q| / table times 2^(-nu/2 - nu gamma) is computed
     once: (M2) reads gamma = 0 and (M3) the largest over its gammas.  (M4)
     reads the grid pairs of strides 1, 4, 16, 64.  (M1) takes a 12-point
-    panel rule on the lattice k/8 over the grid's range, built once; it is
-    void for N < 0.  Each condition maps to its "value" and "ratio";
-    report-only: ratios > 1 mean the condition fails.  A Q that is not a
-    dyadic cube raises ValueError, and so does an fn whose values do not
-    have the points' 1-D shape.
+    panel rule between consecutive half-integers of y, the knots of a
+    natural molecule, built once; it is void for N < 0.  Each
+    condition maps to its "value" and "ratio"; report-only: ratios > 1 mean
+    the condition fails, and a NaN value reaches every condition that
+    reads it.  A Q that is not a dyadic cube raises ValueError, and so does
+    an fn whose values do not have the points' 1-D shape.
     """
     nu, tau = _dyadic_cube(Q)
     x_q = tau / 2.0**nu
@@ -367,11 +386,12 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     env, ix, iy, weight = _grid_tables(expo, delta)
     grid = x_q + _GRID_Y / scale
 
-    # one fn call: the rows grid + k h, k = -gmax..gmax, then the (M1)
-    # nodes (void for N < 0 and absent from the starred nu = 0 set)
+    # one fn call: the rows grid + k h, k = -gmax..gmax (at gmax = 0 the
+    # grid itself), then the (M1) nodes (void for N < 0 and absent from the
+    # starred nu = 0 set)
     h = 1e-5 / scale
     gmax = max(s_floor, 0)
-    pts = (grid + h * np.arange(-gmax, gmax + 1.0)[:, None]).ravel()
+    pts = (grid + h * np.arange(-gmax, gmax + 1.0)[:, None]).ravel() if gmax else grid
     moments = N >= 0 and nu >= 1
     if moments:
         nodes, wts = _moment_rule()
@@ -387,8 +407,8 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     # (M1): vanishing moments up to N
     if moments:
         m1 = vals[rows.size :]
-        worst = np.max([abs(np.dot(wts, nodes**g * m1)) for g in range(N + 1)])
-        report.conditions["M1"] = {"value": float(worst), "ratio": None}
+        moms = [abs(float(np.dot(wts, nodes**g * m1 if g else m1))) for g in range(N + 1)]
+        report.conditions["M1"] = {"value": _worst(moms), "ratio": None}
 
     # D^g = sum_i (-1)^i C(g, i) row[g - 2i] / (2h)^g, row[k] the values at
     # grid + k h, and ratio[g] = max |D^g m_Q| / env 2^(-nu/2 - nu g)
@@ -397,22 +417,29 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
         if g:
             signed = [(-1) ** (g - j) * math.comb(g, j) for j in range(g + 1)]
             d = np.dot(signed, rows[gmax - g : gmax + g + 1 : 2]) / (2.0 * h) ** g
-        ratio.append(float(np.max(np.abs(d) / env)) * 2.0 ** (-nu / 2.0 - nu * g))
+        mag = np.abs(d)
+        if not g:
+            peak = float(mag.max())
+        mag /= env
+        ratio.append(float(mag.max()) * 2.0 ** (-nu / 2.0 - nu * g))
     star = "" if nu >= 1 else "*"
 
     # (M2): size envelope
-    peak = float(np.max(np.abs(rows[gmax])))
     report.conditions["M2" + star] = {"value": peak, "ratio": ratio[0]}
 
     # (M3)/(M4) void if s < 0; d is D^[s] here
     if s >= 0:
         gammas = ratio if nu >= 1 else ratio[1:]
         if gammas:
-            report.conditions["M3" + star] = {"value": None, "ratio": float(np.max(gammas))}
-        diff = np.abs(d[ix] - d[iy])
+            report.conditions["M3" + star] = {"value": None, "ratio": _worst(gammas)}
+        diff = d[ix]
+        diff -= d[iy]
+        np.abs(diff, out=diff)
+        value = float(diff.max())
+        diff /= weight
         report.conditions["M4" + star] = {
-            "value": float(np.max(diff)),
-            "ratio": float(np.max(diff / weight)) * 2.0 ** (-nu / 2.0 - nu * gmax),
+            "value": value,
+            "ratio": float(diff.max()) * 2.0 ** (-nu / 2.0 - nu * gmax),
         }
     return report
 
@@ -454,8 +481,12 @@ def fractional_system(
 
     scale_fn = c0 beta^alpha and wavelet_fn = c Psi_combined of order
     comb_n with psi truncated at |k| <= trunc; calibrate_constants finds
-    the largest c0, c that make the pair molecules.
+    the largest c0, c that make the pair molecules.  A c0 or c outside
+    (0, 1], NaN included, raises ValueError naming it.
     """
+    for name, value in (("c0", c0), ("c", c)):
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
     spec = FractionalSpline(alpha, variant)
     return WaveletSystem(
         lambda x: c0 * frac_bspline(spec, x),

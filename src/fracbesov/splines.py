@@ -216,8 +216,13 @@ def bspline_derivative(n: int, order: int, x):
 
     B_n^(r)(x) = sum_{i=0}^{r} (-1)^i binom(r, i) B_{n-r}(x - i), one
     bspline_filtered pass with the signed binomial row; requires r <= n - 1
-    so the result is at least continuous.
+    so the result is at least continuous.  n and order must be integers
+    (numpy's too, bool not); a ValueError names the one that is not, or
+    the order outside [0, n - 1].
     """
+    for name, value in (("n", n), ("order", order)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if order < 0 or order > n - 1:
         raise ValueError(f"derivative order {order} not in [0, {n - 1}] for B_{n}")
     row = [(-1.0) ** i * math.comb(order, i) for i in range(order + 1)]

@@ -61,7 +61,8 @@ def _x_space_conditions(fn, Q, params):
     out = {}
     if N >= 0 and nu >= 1:
         a, b = float(grid.min()), float(grid.max())
-        breaks = graded_breaks(a, b, per_unit=max(2, int(2 * scale)), levels=2)
+        # the half-integers of y = 2^nu (x - x_Q)
+        breaks = graded_breaks(a, b, per_unit=int(2 * scale))
         nodes, wts = panel_rule(breaks, 12)
         vals = fn(nodes)
         worst = max(abs(float(np.dot(wts, nodes**g * vals))) for g in range(N + 1))
@@ -666,7 +667,7 @@ class TestMoleculeCheck:
         assert seen == [(2 * s + 1) * 801]
 
     def test_single_evaluation_with_moments(self):
-        # N = 0 at nu = 1: the grid and the 4800 (M1) nodes in one call
+        # N = 0 at nu = 1: the grid and the 1200 (M1) nodes in one call
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
         assert params.N == 0
         m_q = molecule(natural_system(3).wavelet_fn, (1, 3))
@@ -678,7 +679,59 @@ class TestMoleculeCheck:
 
         rep = molecule_check(fn, (1, 3), params)
         assert {"M1", "M2", "M3", "M4"} == set(rep.conditions)
-        assert seen == [801 + 4800]
+        assert seen == [801 + 1200]
+
+    def test_natural_moments_at_rounding_level(self):
+        # the wavelet of order n has vanishing moments 0..n, and every knot
+        # of m_Q is a panel end of the (M1) rule, so each moment up to N < n
+        # reads rounding alone (4.8e-14 at most, n = 8, N = 7, Q = (1, -7))
+        for n in range(1, 9):
+            nat = natural_system(n)
+            for N in range(n):
+                params = MoleculeParams(delta=1.0, M=N + 2.0, N=N, J=N + 1.0, s=-0.5)
+                for nu in (1, 2, 3):
+                    for tau in (-7, 0, 5):
+                        m_q = molecule(nat.wavelet_fn, (nu, tau))
+                        rep = molecule_check(m_q, (nu, tau), params)
+                        assert rep.conditions["M1"]["value"] <= 1e-13
+
+    @pytest.mark.parametrize("variant", ["causal", "anticausal"])
+    @pytest.mark.parametrize("alpha", [0.5, 4 / 3, 5 / 3])
+    def test_fractional_moments_match_a_finer_rule(self, alpha, variant):
+        # the true moments vanish, so (M1) reads the tail the window drops;
+        # 16-point Gauss on the panels of y's lattice k/64 over the same
+        # window agrees to 1.0e-7 relative (measured)
+        params = MoleculeParams(delta=1.0, M=3.0, N=1, J=2.0, s=-0.5)
+        fn = fractional_system(alpha, variant, 2, trunc=60).wavelet_fn
+        for nu in (1, 2):
+            for tau in (0, 3):
+                m_q = molecule(fn, (nu, tau))
+                got = molecule_check(m_q, (nu, tau), params).conditions["M1"]["value"]
+                x_q, scale = tau / 2.0**nu, 2.0**nu
+                nodes, wts = panel_rule(x_q + np.arange(-1600, 1601) / (64.0 * scale), 16)
+                vals = m_q(nodes)
+                ref = max(abs(float(np.dot(wts, nodes**g * vals))) for g in range(2))
+                assert got == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("where", ["shifted row", "moment node"])
+    def test_nan_off_the_grid_fails(self, where):
+        # a NaN only at grid + h reaches (M3) through D^1 alone, and one only
+        # at an (M1) node reaches (M1) alone; (M2) stays finite in both
+        params = _params(s=1.0, delta=1.0)
+        m_q = molecule(natural_system(3).wavelet_fn, (1, 0))
+
+        # fn's points: the rows grid - h, grid, grid + h, then the (M1) nodes
+        bad = (2 if where == "shifted row" else 3) * 801 + 5
+
+        def spoiled(x):
+            vals = m_q(x)
+            vals[bad] = np.nan
+            return vals
+
+        conds = molecule_check(spoiled, (1, 0), params).conditions
+        assert math.isfinite(conds["M2"]["ratio"])
+        assert math.isnan(conds["M3"]["ratio"]) == (where == "shifted row")
+        assert math.isnan(conds["M1"]["value"]) == (where == "moment node")
 
     # s = 2 takes the two-fold central difference
     @pytest.mark.parametrize("n,s", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)])
@@ -706,7 +759,7 @@ class TestMoleculeCheck:
         # a scalar failed as a 0-d IndexError, three values in numpy's
         # reshape; at (1, 0) the (M1) nodes follow the grid in the same call.
         # A column of the right size passed at (0, 0), and at (1, 0) broadcast
-        # (M1)'s nodes**g * m1 to a 4800 x 4800 product
+        # (M1)'s nodes**g * m1 to a nodes x nodes product
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
         with pytest.raises(ValueError, match=r"^fn must return one value per point, got shape"):
             molecule_check(fn, Q, params)
@@ -939,6 +992,17 @@ class TestWaveletSystem:
             assert np.array_equal(
                 sysf.wavelet_fn(x), c * Psi_combined(5 / 3, 2, variant, x, trunc=60)
             )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["c0", "c"])
+    def test_constants_lie_in_unit_interval(self, name, bad):
+        # c0 = -1 returned -0.2093 at x = 0.5 and c0 = 2 returned 0.4187
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\]"):
+            fractional_system(5 / 3, "causal", 2, **{name: bad})
+        for good in (1.0, 1e-3):
+            fn = getattr(fractional_system(5 / 3, "causal", 2, **{name: good}),
+                         "scale_fn" if name == "c0" else "wavelet_fn")
+            assert math.isfinite(fn(0.5))
 
     @pytest.mark.parametrize("variant", ["causal", "anticausal"])
     def test_trunc_forwarded(self, variant):

@@ -148,9 +148,10 @@ print(json.dumps({"first": first, "after": misses(), "m1": "M1" in rep.condition
 
 # per-call temporaries of one (M1) check: 484 KiB when every point was read
 # and the table rebuilt per call, 308 KiB with the table built once and only
-# the support read.  Above this the heap regrows by page faults on every
-# benchmark operation.
-M1_CHECK_PEAK = 384 * 1024
+# the support read, 113 KiB with 1200 (M1) nodes on the half-integer panels
+# in place of 4800 on the k/8 lattice.  Above this the heap regrows by page
+# faults on every benchmark operation.
+M1_CHECK_PEAK = 192 * 1024
 
 
 def test_natural_ppforms_built_once_and_check_stays_small():

@@ -96,10 +96,28 @@ def test_empty_interval():
 
 
 def test_moment_rule_lattice():
-    # per_unit = 2 with two cascade levels is the uniform lattice k/8, every
-    # other point of the reference grid: (M1)'s rule is bit for bit the one
+    # per_unit = 2 without cascade levels is the half-integer lattice, every
+    # eighth point of the reference grid: (M1)'s rule is bit for bit the one
     # built on graded breaks
-    breaks = graded_breaks(-25.0, 25.0, per_unit=2, levels=2)
-    assert np.array_equal(breaks, fw._GRID_Y[::2])
+    breaks = graded_breaks(-25.0, 25.0, per_unit=2)
+    assert np.array_equal(breaks, fw._GRID_Y[::8])
+    assert breaks.size == 101
     for got, want in zip(fw._moment_rule(), fw.panel_rule(breaks, 12)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("breaks", [
+    [1.0, 0.0], [0.0, 1.0, 1.0], [0.0, np.nan, 1.0], [0.0, np.inf], [0.0], [],
+    [[0.0, 1.0], [1.0, 2.0]], 0.5,
+], ids=["decreasing", "repeated", "nan", "inf", "one", "empty", "2-d", "0-d"])
+def test_panel_rule_rejects_bad_breaks(breaks):
+    # decreasing breaks gave weights -0.5 and a NaN break NaN nodes
+    with pytest.raises(ValueError, match=r"^breaks must be 1-D, finite and strictly increasing"):
+        fw.panel_rule(breaks, 2)
+
+
+def test_panel_rule_one_panel():
+    # two breaks are one panel: the Gauss rule mapped onto it
+    nodes, wts = fw.panel_rule([0.0, 2.0], 2)
+    assert nodes == pytest.approx([1.0 - 3.0**-0.5, 1.0 + 3.0**-0.5], abs=1e-15)
+    assert wts.tolist() == [1.0, 1.0]

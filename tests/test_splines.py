@@ -73,6 +73,24 @@ class TestNaturalBSpline:
             ) / (2 * h)
             assert bspline_derivative(n, order, x) == pytest.approx(fd2, abs=1e-7)
 
+    @pytest.mark.parametrize("n, order, name", [
+        (3, True, "order"), (3, 1.0, "order"), (3, "1", "order"),
+        (2.0, 1, "n"), (True, 0, "n"), (np.float64(3.0), 1, "n"),
+    ])
+    def test_derivative_arguments_are_integers(self, n, order, name):
+        # order=True was taken as 1 and order=1.0 failed inside range; n=2.0
+        # was reported as the lowered order, "n must be ... got 1.0"
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            bspline_derivative(n, order, 1.3)
+
+    @pytest.mark.parametrize("n, order", [(3, 3), (3, -1), (0, 0)])
+    def test_derivative_order_range(self, n, order):
+        with pytest.raises(ValueError, match=r"^derivative order"):
+            bspline_derivative(n, order, 1.3)
+
+    def test_derivative_numpy_integers(self):
+        assert bspline_derivative(np.int64(3), np.int32(1), 1.3) == bspline_derivative(3, 1, 1.3)
+
 
 class TestCausalFractional:
     def test_natural_anchor(self):
