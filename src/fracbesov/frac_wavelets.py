@@ -13,18 +13,19 @@ here, and the tests check q against that symbol.  The combination Psi
 adds cosine weights lambda_j(n) from the natural-order construction
 (battle_lemarie.translate_weights), folded into the filter, so psi and
 Psi are each one splines.beta_plus_filtered pass.  Their tail estimate
-is held to one tolerance, TAIL_TOL.  Molecule checking certifies the
-decay / moment / Hoelder conditions on one reference grid, the lattice
-k/16 on [-25, 25] in the scaled variable y = 2^nu (x - x_Q) of a dyadic
-cube Q = (nu, tau) (integers, nu >= 0), with one call of the molecule
-m_Q = molecule(f, Q) (its values, the central differences of its
-derivatives and the (M1) nodes together); the grid, its envelope tables
-and the (M1) rule, 12-point Gauss panels between consecutive
-half-integers of y, are the same for every (nu, tau).  The calibration of
-c0 and c reads only the envelope conditions (M2)-(M4) and skips the
-moment quadrature of (M1).  A WaveletSystem is the pair (scale_fn,
-wavelet_fn) of the natural Battle-Lemarie system, divided by Lambda' and
-Lambda'' in closed form, or of the fractional one, scaled by c0 and c.
+is held to one tolerance, TAIL_TOL.  Molecule checking certifies a
+function f once, in the scaled variable y = 2^nu (x - x_Q) of a dyadic
+cube Q = (nu, tau) (integers, nu >= 0): the molecule m_Q(x) = 2^(nu/2)
+f(2^nu x - tau) reads f(y), and each (M2)-(M4) ratio of m_Q is the same
+ratio of f, so the decay / moment / Hoelder conditions are computed on
+one reference grid, the lattice k/16 on [-25, 25], with difference steps
+of 2^-17 and the (M1) rule of 12-point Gauss panels between consecutive
+half-integers, all in y and the same for every (nu, tau).  molecule_check
+pulls m_Q back to f; the calibration of c0 and c certifies the unscaled
+pair itself, reading only the envelope conditions (M2)-(M4).  A
+WaveletSystem is the pair (scale_fn, wavelet_fn) of the natural
+Battle-Lemarie system, divided by Lambda' and Lambda'' in closed form, or
+of the fractional one, scaled by c0 and c.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .splines import (
 
 # largest psi tail estimate that psi_frac and Psi_combined accept
 TAIL_TOL = 1e-6
-# largest |moment| for which a report's (M1) passes
+# largest |int y^gamma f(y) dy|, gamma <= N, for which a report's (M1) passes
 MOMENT_TOL = 1e-5
 
 
@@ -257,25 +258,27 @@ class MoleculeReport:
 # lattice k/16 on [-25, 25], the same for every (nu, tau)
 _GRID_Y = np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0)
 _GRID_Y.flags.writeable = False
+# the central differences' step in y: a power of two, so every stencil
+# point y + k H of the grid, and x_Q + (y + k H) / 2^nu for |tau| < 2^35, is exact
+_H = 2.0**-17
 
 
 @lru_cache(maxsize=16)
 def _grid_tables(M: float, delta: float) -> tuple:
-    """(env, ix, iy, weight): the envelopes of molecule_check on _GRID_Y.
+    """(env, ix, iy, weight): the envelopes of _certify on _GRID_Y.
 
-    In y = 2^nu (x - x_Q), 2^nu times the distance to x_Q is |y| and 2^nu
-    times a pair's distance h is |dy|, so the envelope env = (1 + |y|)^-M
-    and the (M4) weight (2^nu h)^delta times the exact sup of the envelope
-    over [x - h, x + h],
+    The envelope is env = (1 + |y|)^-M, and the (M4) weight of a pair at
+    distance |dy| is |dy|^delta times the exact sup of the envelope over
+    [y - |dy|, y + |dy|],
 
-        weight = |dy|^delta (1 + max(0, |y_ix| - |dy|))^-M,
+        weight = |dy|^delta (1 + max(0, |y_ix| - |dy|))^-M:
 
-    depend on M and delta alone: the envelope decreases with the distance
-    to x_Q, smallest at the point of the segment nearest to it.  The (M4)
-    pairs (ix, iy) are the grid pairs of index strides 1, 4, 16, 64, all at
-    |dy| >= 1/16, so a weight is 0 only where (1 + 25)^-M underflows (M
-    above about 228); such an M raises ValueError.  Built once per
-    (M, delta); the arrays are returned read-only.
+    the envelope decreases with |y|, smallest at the point of the segment
+    nearest to 0.  The (M4) pairs (ix, iy) are the grid pairs of index
+    strides 1, 4, 16, 64, all at |dy| >= 1/16, so a weight is 0 only where
+    (1 + 25)^-M underflows (M above about 228); such an M raises
+    ValueError.  Built once per (M, delta); the arrays are returned
+    read-only.
     """
     ay = np.abs(_GRID_Y)
     strides = (1, 4, 16, 64)
@@ -317,11 +320,9 @@ def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
 
     12-point Gauss-Legendre panels between consecutive half-integers of y
     (every eighth grid point), 100 panels and 1200 nodes.  Every
-    half-integer of y is a panel end, and so is every k / 2^(nu+1) of x =
-    x_Q + y / 2^nu, since x_Q = tau / 2^nu lies on that lattice: the knots
-    of a natural molecule (u = 2y + n for the Battle-Lemarie wavelet, u =
-    2y for Psi), so each polynomial piece up to degree 23 is integrated
-    exactly.
+    half-integer of y is a panel end: the knots of a natural molecule (u =
+    2y + n for the Battle-Lemarie wavelet, u = 2y for Psi), so each
+    polynomial piece up to degree 23 is integrated exactly.
     """
     nodes, wts = panel_rule(_GRID_Y[::8], 12)
     nodes.flags.writeable = wts.flags.writeable = False
@@ -339,109 +340,104 @@ def _dyadic_cube(Q) -> tuple[int, int]:
     return nu, tau
 
 
-def molecule(fn, Q: tuple[int, int]) -> Callable:
-    """The molecule m_Q of fn at Q = (nu, tau): x -> 2^(nu/2) fn(2^nu x - tau).
-
-    At Q = (0, 0) it returns fn's own values bit for bit.
-    """
-    nu, tau = _dyadic_cube(Q)
-    return lambda x: 2.0 ** (nu / 2.0) * fn(2.0**nu * x - tau)
-
-
 def _worst(values: list) -> float:
     """The largest of a few floats, NaN if one is NaN, as np.max gives."""
     return math.nan if any(v != v for v in values) else max(values)
 
 
-def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeReport:
-    """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
+def _certify(f, params: MoleculeParams, starred: bool) -> dict:
+    """The conditions (M1)-(M4) of f in y, or (M2*)-(M4*) if ``starred``.
 
-    ``fn`` is the candidate molecule m_Q itself, built from a function f as
-    molecule(f, Q), and is called once, on the 2 [s] + 1 shifted grids and
-    the (M1) nodes together; it must return one value per point.
-    D^gamma m_Q, gamma = 0..[s], is tabulated on the reference grid x_Q +
-    y / 2^nu, y the lattice k/16 on [-25, 25], from the values at grid +
-    k h, k = -[s]..[s], h = 1e-5 / 2^nu: D^0 is the values on the grid and
-    D^gamma the gamma-fold central difference sum_i (-1)^i binom(gamma, i)
-    m_Q(x + (gamma - 2i) h) / (2h)^gamma.  The envelopes are read in y, so
-    their tables are built once per (M, delta) (_grid_tables), and each
-    ratio max |D^gamma m_Q| / table times 2^(-nu/2 - nu gamma) is computed
-    once: (M2) reads gamma = 0 and (M3) the largest over its gammas.  (M4)
-    reads the grid pairs of strides 1, 4, 16, 64.  (M1) takes a 12-point
-    panel rule between consecutive half-integers of y, the knots of a
-    natural molecule, built once; it is void for N < 0.  Each
-    condition maps to its "value" and "ratio"; report-only: ratios > 1 mean
-    the condition fails, and a NaN value reaches every condition that
-    reads it.  A Q that is not a dyadic cube raises ValueError, and so does
-    an fn whose values do not have the points' 1-D shape.
+    f is called once, on the 2 [s] + 1 rows _GRID_Y + k H, k = -[s]..[s],
+    H = 2^-17, and the (M1) nodes together; it must return one value per
+    point.  D^0 f is the values on the grid and D^gamma f, gamma = 1..[s],
+    the gamma-fold central difference sum_i (-1)^i binom(gamma, i) f(y +
+    (gamma - 2i) H) / (2H)^gamma.  Each ratio max |D^gamma f| / env is
+    computed once, with the envelope tables of _grid_tables: (M2) reads
+    gamma = 0 and (M3) the largest over its gammas; (M4) reads D^[s] on
+    the grid pairs of strides 1, 4, 16, 64.  The unstarred envelopes have
+    the exponent M - min(s, 0) and the starred ones M.  (M1) is the largest
+    |int y^gamma f|, gamma = 0..N, by _moment_rule; it is void for N < 0
+    and absent from the starred set, as is (M3*) at gamma = 0.  Returns
+    {condition: {"value", "ratio"}}; a NaN value reaches every condition
+    that reads it.
     """
-    nu, tau = _dyadic_cube(Q)
-    x_q = tau / 2.0**nu
-    scale = 2.0**nu
     s, M, N, delta = params.s, params.M, params.N, params.delta
-    s_floor = math.floor(s)
+    gmax = max(math.floor(s), 0)
     # (M2)'s exponent is M - s when s < 0, where (M3)/(M4) are void, so one
     # exponent serves every envelope a report reads
-    expo = M - min(s, 0.0) if nu >= 1 else M
-    env, ix, iy, weight = _grid_tables(expo, delta)
-    grid = x_q + _GRID_Y / scale
-
-    # one fn call: the rows grid + k h, k = -gmax..gmax (at gmax = 0 the
-    # grid itself), then the (M1) nodes (void for N < 0 and absent from the
-    # starred nu = 0 set)
-    h = 1e-5 / scale
-    gmax = max(s_floor, 0)
-    pts = (grid + h * np.arange(-gmax, gmax + 1.0)[:, None]).ravel() if gmax else grid
-    moments = N >= 0 and nu >= 1
+    env, ix, iy, weight = _grid_tables(M if starred else M - min(s, 0.0), delta)
+    # one f call: the rows grid + k H (at gmax = 0 the grid itself), then
+    # the (M1) nodes
+    pts = (_GRID_Y + _H * np.arange(-gmax, gmax + 1.0)[:, None]).ravel() if gmax else _GRID_Y
+    moments = N >= 0 and not starred
     if moments:
         nodes, wts = _moment_rule()
-        nodes, wts = x_q + nodes / scale, wts / scale
         pts = np.concatenate([pts, nodes])
-    vals = np.asarray(fn(pts))
+    vals = np.asarray(f(pts))
     if vals.shape != pts.shape:
         raise ValueError(f"fn must return one value per point, got shape {vals.shape} "
                          f"for {pts.size} points")
-    rows = vals[: (2 * gmax + 1) * grid.size].reshape(2 * gmax + 1, grid.size)
-    report = MoleculeReport(nu=nu, tau=tau)
+    rows = vals[: (2 * gmax + 1) * _GRID_Y.size].reshape(2 * gmax + 1, _GRID_Y.size)
+    conditions = {}
 
     # (M1): vanishing moments up to N
     if moments:
         m1 = vals[rows.size :]
         moms = [abs(float(np.dot(wts, nodes**g * m1 if g else m1))) for g in range(N + 1)]
-        report.conditions["M1"] = {"value": _worst(moms), "ratio": None}
+        conditions["M1"] = {"value": _worst(moms), "ratio": None}
 
-    # D^g = sum_i (-1)^i C(g, i) row[g - 2i] / (2h)^g, row[k] the values at
-    # grid + k h, and ratio[g] = max |D^g m_Q| / env 2^(-nu/2 - nu g)
+    # D^g = sum_i (-1)^i C(g, i) row[g - 2i] / (2H)^g, row[k] the values at
+    # grid + k H, and ratio[g] = max |D^g f| / env
     ratio, d = [], rows[gmax]
     for g in range(gmax + 1):
         if g:
             signed = [(-1) ** (g - j) * math.comb(g, j) for j in range(g + 1)]
-            d = np.dot(signed, rows[gmax - g : gmax + g + 1 : 2]) / (2.0 * h) ** g
+            d = np.dot(signed, rows[gmax - g : gmax + g + 1 : 2]) / (2.0 * _H) ** g
         mag = np.abs(d)
         if not g:
             peak = float(mag.max())
         mag /= env
-        ratio.append(float(mag.max()) * 2.0 ** (-nu / 2.0 - nu * g))
-    star = "" if nu >= 1 else "*"
+        ratio.append(float(mag.max()))
+    star = "*" if starred else ""
 
     # (M2): size envelope
-    report.conditions["M2" + star] = {"value": peak, "ratio": ratio[0]}
+    conditions["M2" + star] = {"value": peak, "ratio": ratio[0]}
 
     # (M3)/(M4) void if s < 0; d is D^[s] here
     if s >= 0:
-        gammas = ratio if nu >= 1 else ratio[1:]
+        gammas = ratio[1:] if starred else ratio
         if gammas:
-            report.conditions["M3" + star] = {"value": None, "ratio": _worst(gammas)}
+            conditions["M3" + star] = {"value": None, "ratio": _worst(gammas)}
         diff = d[ix]
         diff -= d[iy]
         np.abs(diff, out=diff)
         value = float(diff.max())
         diff /= weight
-        report.conditions["M4" + star] = {
-            "value": value,
-            "ratio": float(diff.max()) * 2.0 ** (-nu / 2.0 - nu * gmax),
-        }
-    return report
+        conditions["M4" + star] = {"value": value, "ratio": float(diff.max())}
+    return conditions
+
+
+def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeReport:
+    """Grid-certified report of (M1)-(M4) (nu >= 1) or starred forms (nu = 0).
+
+    ``fn`` is the candidate molecule m_Q itself, for a function f the map x
+    -> 2^(nu/2) f(2^nu x - tau).  The report is _certify's of its pull-back
+    y -> 2^(-nu/2) fn(x_Q + y / 2^nu), which is f again, so the ratios and
+    values are f's, the same for every (nu, tau), and (M1) is int y^gamma
+    f.  fn is called once, at x_Q + y / 2^nu for the grid points and their
+    difference points y + k 2^-17 (every one exact) and the (M1) nodes of
+    y; it must return one value per point.  Each condition maps to its
+    "value" and "ratio"; report-only: ratios > 1 mean the condition fails,
+    and a NaN value reaches every condition that reads it.  A Q that is not
+    a dyadic cube raises ValueError, and so does an fn whose values do not
+    have the points' 1-D shape.
+    """
+    nu, tau = _dyadic_cube(Q)
+    scale = 2.0**nu
+    x_q, gain = tau / scale, 2.0 ** (-nu / 2.0)
+    conditions = _certify(lambda y: gain * np.asarray(fn(x_q + y / scale)), params, nu == 0)
+    return MoleculeReport(nu=nu, tau=tau, conditions=conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -504,25 +500,26 @@ def calibrate_constants(
 ) -> tuple[float, float]:
     """Largest c0, c in (0, 1] making the molecule envelopes pass.
 
-    c0 scales the order-alpha spline at nu = 0; c scales the dilated
-    combined wavelet at nu >= 1.  Ratios are measured on molecule_check's
-    one reference grid (y = 2^nu x on the lattice k/16 over [-25, 25]) and
-    inverted with a 2% safety margin.  No scale factor can make a nonzero
-    moment vanish, so the reports are taken with N = -1, which voids (M1):
-    (c0, c) read only the envelope ratios (M2)-(M4) and are the same as
-    with ``params``.  Certify (M1) on the calibrated system with
-    ``molecule_check`` and ``params``.  A non-finite ratio, or nus without
-    a nu >= 1, where c would be certified by nothing, raises ValueError.
+    c0 scales the order-alpha spline, certified in the starred set of nu =
+    0; c scales the combined wavelet, certified in the unstarred set,
+    which every dilate and translate at nu >= 1 shares.  Each function is
+    certified once, on the reference grid in y (_certify), and its worst
+    envelope ratio inverted with a 2% safety margin.  No scale factor can
+    make a nonzero moment vanish, so (M1) is voided with N = -1: (c0, c)
+    read only the envelope ratios (M2)-(M4) and are the same as with
+    ``params``.  Certify (M1) on the calibrated system with
+    ``molecule_check`` and ``params``.  ``nus`` needs only to hold a nu >=
+    1; without one, where c would be certified by nothing, it raises
+    ValueError, and so does a non-finite ratio.
     """
     if not any(nu >= 1 for nu in nus):
         raise ValueError(f"nus must hold a nu >= 1, got {nus!r}")
     sysu = fractional_system(alpha, variant, comb_n, trunc=trunc)
     params = replace(params, N=-1)
-    c0 = _constant([molecule_check(sysu.scale_fn, (0, 0), params).max_envelope_ratio])
-    c = _constant([
-        molecule_check(molecule(sysu.wavelet_fn, (nu, 0)), (nu, 0), params).max_envelope_ratio
-        for nu in nus if nu != 0
-    ])
+    c0, c = (
+        _constant([entry["ratio"] for entry in _certify(f, params, starred).values()])
+        for f, starred in ((sysu.scale_fn, True), (sysu.wavelet_fn, False))
+    )
     return c0, c
 
 

@@ -22,12 +22,20 @@ import numpy as np
 import pytest
 
 from fracbesov import frac_wavelets as fw
+from test_natural_oracle import molecule
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-SCRIPT = """
+# the molecule m_Q of f at Q = (nu, tau), for the scripts below
+MOLECULE = """
+def molecule(f, Q):
+    nu, tau = Q
+    return lambda x: 2.0 ** (nu / 2.0) * f(2.0**nu * x - tau)
+"""
+
+SCRIPT = MOLECULE + """
 import json, sys
-from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for, natural_system
+from fracbesov.frac_wavelets import molecule_check, molecule_params_for, natural_system
 
 nat = natural_system(3)
 for s in (0.0, 1.0):
@@ -48,7 +56,7 @@ def test_certification_imports_neither_numpy_ma_nor_scipy():
     assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
-SOLVER_FREE = """
+SOLVER_FREE = MOLECULE + """
 import json
 import numpy as np
 
@@ -56,7 +64,7 @@ def refuse(*args, **kwargs):
     raise AssertionError("a root or eigenvalue solver was called")
 
 np.roots = np.linalg.eig = np.linalg.eigvals = refuse
-from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for, natural_system
+from fracbesov.frac_wavelets import molecule_check, molecule_params_for, natural_system
 
 for n in range(1, 9):
     nat = natural_system(n)
@@ -89,7 +97,7 @@ def test_cached_tables_shared_and_read_only():
     nat = fw.natural_system(3)
 
     def check(nu, tau):
-        fw.molecule_check(fw.molecule(nat.wavelet_fn, (nu, tau)), (nu, tau), params)
+        fw.molecule_check(molecule(nat.wavelet_fn, (nu, tau)), (nu, tau), params)
 
     def misses():
         return fw._grid_tables.cache_info().misses, fw._moment_rule.cache_info().misses
@@ -106,11 +114,11 @@ def test_cached_tables_shared_and_read_only():
             arr[...] = np.zeros_like(arr)
 
 
-PPFORMS_ONCE = """
+PPFORMS_ONCE = MOLECULE + """
 import json, tracemalloc
 import numpy as np
 from fracbesov import battle_lemarie as bl, splines as sp
-from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for, natural_system
+from fracbesov.frac_wavelets import molecule_check, molecule_params_for, natural_system
 
 def certify(taus):
     for n in range(1, 5):

@@ -5,7 +5,7 @@ the natural systems of orders 1..4 at s = 0, 1 and nu = 0, 1, 2.  The
 benchmark's bl-certify check asks for the same ratios to 1e-9 relative,
 (M1) within the moment tolerance and reports that agree across (nu, tau);
 this runs that check on the evaluators directly, and checks the agreement
-across (nu, tau) as a property over the whole range below.
+across (nu, tau), to 1e-11, as a property over the whole range below.
 """
 
 import json
@@ -18,15 +18,19 @@ from hypothesis import strategies as st
 
 from fracbesov.frac_wavelets import (
     MOMENT_TOL,
-    molecule,
     molecule_check,
     molecule_params_for,
     natural_system,
 )
+from test_natural_oracle import molecule
 
 REFERENCE = Path(__file__).resolve().parents[1] / "fracbench" / "reference.json"
 SEED_M2 = json.loads(REFERENCE.read_text(encoding="utf-8"))["seed_outputs"]["bl_m2"]
 REL_TOL = 1e-9
+# reports at different (nu, tau) agree to this relative amount: f is read
+# at the same exact points of y for every cube, and only 2^(nu/2) and its
+# inverse round (7.1e-13 at most at s = 1, measured)
+COVARIANT_TOL = 1e-11
 
 
 def case(key: str) -> tuple[int, int, int]:
@@ -61,7 +65,7 @@ def test_matches_stored_ratios(key):
         assert set(rep.conditions) == set(reps[0].conditions)
         for name, entry in reps[0].conditions.items():
             if name != "M1":
-                assert rel(rep.conditions[name]["ratio"], entry["ratio"]) <= REL_TOL
+                assert rel(rep.conditions[name]["ratio"], entry["ratio"]) <= COVARIANT_TOL
 
 
 @pytest.mark.parametrize("n,s", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)])
@@ -70,7 +74,7 @@ def test_ratios_agree_across_levels(n, s):
     assert set(r1.conditions) == set(r2.conditions)
     for name, entry in r1.conditions.items():
         if name != "M1":
-            assert rel(r2.conditions[name]["ratio"], entry["ratio"]) <= REL_TOL
+            assert rel(r2.conditions[name]["ratio"], entry["ratio"]) <= COVARIANT_TOL
 
 
 CASES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1)]
@@ -88,12 +92,12 @@ def level_one(n: int, s: int):
     tau=st.integers(min_value=-200, max_value=200),
 )
 def test_reports_covariant_under_shift_and_dilation(case, nu, tau):
-    # at s = 0 the molecule reads f at the same y-lattice for every (nu,
+    # the molecule reads f at the same exact points of y for every (nu,
     # tau), so only 2^(nu/2) and its inverse round; at s = 1 the central
-    # difference's step rounds in x, within the benchmark's 1e-9
+    # difference turns that rounding into 7.1e-13 at most (measured)
     n, s = case
     ref, rep = level_one(n, s), report(n, s, nu, tau)
-    tol = 1e-12 if s == 0 else REL_TOL
+    tol = 1e-12 if s == 0 else COVARIANT_TOL
     assert set(rep.conditions) == set(ref.conditions)
     for name, entry in ref.conditions.items():
         if name != "M1":

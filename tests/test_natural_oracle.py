@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from fracbesov import frac_wavelets as fw
 from fracbesov.battle_lemarie import _wavelet_taps, bl_system, wavelet_localized
-from fracbesov.frac_wavelets import molecule, molecule_check, molecule_params_for, natural_system
+from fracbesov.frac_wavelets import molecule_check, molecule_params_for, natural_system
 from fracbesov.splines import (
     FractionalSpline,
     _bspline_piece_int,
@@ -34,6 +34,12 @@ from fracbesov.splines import (
     bspline_natural,
     frac_bspline,
 )
+
+
+def molecule(f, Q):
+    """The molecule m_Q of f at Q = (nu, tau): x -> 2^(nu/2) f(2^nu x - tau)."""
+    nu, tau = Q
+    return lambda x: 2.0 ** (nu / 2.0) * f(2.0**nu * x - tau)
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +302,7 @@ def reference_filtered(n: int, u, c, k0: int):
 @lru_cache(maxsize=1)
 def certifier_inputs() -> np.ndarray:
     """Every point molecule_check hands the function f of m_Q = molecule(f, Q):
-    the grid, the +-h points of s = 1 and the (M1) nodes of s = 0, at
+    the grid, the +-2^-17 points of s = 1 and the (M1) nodes of s = 0, at
     (nu, tau) = (0, 0), (1, 3), (2, -5)."""
     seen = []
 
@@ -326,17 +332,17 @@ def test_bit_identical_to_reference(n):
     assert np.array_equal(bspline_natural(n, odd), ref, equal_nan=True)
 
 
-@pytest.mark.parametrize("n, bound", [(2, 2.5e-5), (3, 1e-9), (4, 1e-9)])
+@pytest.mark.parametrize("n, bound", [(2, 2e-5), (3, 5.5e-10), (4, 5.5e-10)])
 def test_certifier_matches_exact_derivative(n, bound):
     # bl-certify's s = 1 reports against (M3)/(M4) from the exact D^1 on the
     # same grid and envelope tables: B_n' for the scale function at nu = 0,
-    # and for the wavelet kappa_n sum_k d_k B_n(2x + n - k) the derivative
-    # 2 kappa_n sum_k (d * [1, -1])_k B_(n-1)(2x + n - k).  The knots lie
-    # on the grid, and at s = n - 1
-    # D^(s+1) jumps there, so the central difference errs by O(h), about
-    # jump h / 4: at n = 2 the reports read low by up to 1.9e-5 ((M3)
-    # 5.134803 against 5.134899, (M3*) 8.9999325 against 9), at n = 3, 4
-    # by at most 6.8e-10
+    # and for the wavelet kappa_n sum_k d_k B_n(2y + n - k) the derivative
+    # 2 kappa_n sum_k (d * [1, -1])_k B_(n-1)(2y + n - k).  The knots lie
+    # on the grid, and at s = n - 1 D^(s+1) jumps there, so the central
+    # difference with step H = 2^-17 in y errs by O(H), about jump H / 4:
+    # at n = 2 the reports read low by up to 1.43e-5 ((M3) 5.1348258
+    # against 5.1348990, (M3*) 8.9999485 against 9), at n = 3, 4 by at
+    # most 3.9e-10
     params = molecule_params_for(2.0, 2.0, 1.0, 1.0, float(n))
     env, ix, iy, weight = fw._grid_tables(params.M, params.delta)
     sys, nat = bl_system(n), natural_system(n)
@@ -348,7 +354,7 @@ def test_certifier_matches_exact_derivative(n, bound):
         else:
             fn, d0 = molecule(nat.wavelet_fn, (nu, tau)), nat.wavelet_fn(y)
             d1 = 2.0 * sys.kappa * bspline_filtered(n - 1, 2.0 * y + n, taps, -n)
-        # D^g m_Q = 2^(nu/2 + nu g) f^(g)(y), and the certifier divides that back out
+        # the certifier reads m_Q's pull-back, f itself
         r0, r1 = (float(np.max(np.abs(d) / env)) for d in (d0, d1))
         m4 = float(np.max(np.abs(d1[ix] - d1[iy]) / weight))
         star = "" if nu >= 1 else "*"
