@@ -263,50 +263,91 @@ _GRID_Y.flags.writeable = False
 _H = 2.0**-17
 
 
+# the index strides of the (M4) grid pairs
+_STRIDES = (1, 4, 16, 64)
+
+
 @lru_cache(maxsize=16)
 def _grid_tables(M: float, delta: float) -> tuple:
-    """(env, ix, iy, weight): the envelopes of _certify on _GRID_Y.
+    """(env, weight): the envelopes of _certify on _GRID_Y.
 
-    The envelope is env = (1 + |y|)^-M, and the (M4) weight of a pair at
-    distance |dy| is |dy|^delta times the exact sup of the envelope over
-    [y - |dy|, y + |dy|],
+    The envelope is env = (1 + |y|)^-M, and the (M4) weight of a pair
+    (y_i, y_(i - st)) at distance |dy| is |dy|^delta times the exact sup of
+    the envelope over [y_i - |dy|, y_i + |dy|],
 
-        weight = |dy|^delta (1 + max(0, |y_ix| - |dy|))^-M:
+        weight = |dy|^delta (1 + max(0, |y_i| - |dy|))^-M:
 
     the envelope decreases with |y|, smallest at the point of the segment
-    nearest to 0.  The (M4) pairs (ix, iy) are the grid pairs of index
-    strides 1, 4, 16, 64, all at |dy| >= 1/16, so a weight is 0 only where
-    (1 + 25)^-M underflows (M above about 228); such an M raises
-    ValueError.  Built once per (M, delta); the arrays are returned
-    read-only.
+    nearest to 0.  The (M4) pairs are the grid pairs of index strides st =
+    1, 4, 16, 64 (_STRIDES), stride after stride and i = st..800 within
+    each, all at |dy| >= 1/16, so a weight is 0 only where (1 + 25)^-M
+    underflows (M above about 228); such an M raises ValueError.  Built
+    once per (M, delta); the arrays are returned read-only.
     """
     ay = np.abs(_GRID_Y)
-    strides = (1, 4, 16, 64)
-    ix = np.concatenate([np.arange(st, ay.size) for st in strides])
-    iy = np.concatenate([np.arange(ay.size - st) for st in strides])
-    dy = np.abs(_GRID_Y[ix] - _GRID_Y[iy])
-    weight = dy**delta * (1.0 + np.maximum(0.0, ay[ix] - dy)) ** -M
+    dy = np.concatenate([np.abs(_GRID_Y[st:] - _GRID_Y[:-st]) for st in _STRIDES])
+    near = np.concatenate([ay[st:] for st in _STRIDES])
+    weight = dy**delta * (1.0 + np.maximum(0.0, near - dy)) ** -M
     if not np.all(weight > 0):
         raise ValueError(f"the envelope (1 + |y|)^-{M:g} underflows on the grid")
-    tables = ((1.0 + ay) ** -M, ix, iy, weight)
+    tables = ((1.0 + ay) ** -M, weight)
     for arr in tables:
         arr.flags.writeable = False
     return tables
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending.
+
+    No eigenvalue solver (Hale & Townsend, SIAM J. Sci. Comput. 35(2),
+    2013): Newton's method on P_n from the guesses cos(pi (k - 1/4) / (n +
+    1/2)), k = n..1, with P_n and P_n' = n (P_(n-1) - x P_n) / (1 - x^2)
+    from the recurrence j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2),
+    until a step is below 1e-12 (at most 4 steps for n <= 3000).  The
+    weights are 2 / ((1 - x^2) P_n'(x)^2) at the last x.  Both are then
+    symmetrized and the weights scaled to sum 2, as numpy's leggauss does.
+    Against a 40-digit mpmath rule, n = 1..64, the nodes are within
+    1.2e-16 and the weights within 7e-14 relative (1e-15 at n = 12, where
+    leggauss's weights err by 8.8e-15, and by 1.8e-12 at worst).
+    """
+    x, step = np.cos(np.pi * (np.arange(n, 0.0, -1.0) - 0.25) / (n + 0.5)), 1.0
+    for _ in range(10):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        # stop once the step to this x was below 1e-12: dp is P_n' at the last x
+        if np.abs(step).max() < 1e-12:
+            break
+        step = p1 / dp
+        x = x - step
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    x = (x - x[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def panel_rule(breaks: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for the panels defined by ``breaks``.
+    """Gauss-Legendre nodes/weights for the panels defined by ``breaks``:
+    the npts-point rule of _gauss_legendre (Newton's method on P_npts, no
+    eigenvalue solver; within 1.2e-16 on the nodes and 7e-14 relative on
+    the weights of a 40-digit rule, npts <= 64) mapped onto each panel
+    [breaks[i], breaks[i + 1]].
 
     ``breaks`` must be 1-D, finite and strictly increasing, with at least
     two entries, so that every weight is positive; otherwise ValueError
-    names breaks.
+    names breaks.  npts must be an integer >= 1 (numpy's too, bool not);
+    otherwise ValueError names npts.
     """
     breaks = np.asarray(breaks, dtype=float)
     if not (breaks.ndim == 1 and breaks.size >= 2 and np.isfinite(breaks).all()
             and (np.diff(breaks) > 0).all()):
         raise ValueError("breaks must be 1-D, finite and strictly increasing with at "
                          f"least 2 entries, got {breaks!r}")
-    x, w = np.polynomial.legendre.leggauss(npts)
+    if isinstance(npts, bool) or not isinstance(npts, numbers.Integral) or npts < 1:
+        raise ValueError(f"npts must be an integer >= 1, got {npts!r}")
+    x, w = _gauss_legendre(int(npts))
     a = breaks[:-1]
     h = np.diff(breaks)
     nodes = a[:, None] + (x[None, :] + 1.0) * (h[:, None] / 2.0)
@@ -330,9 +371,12 @@ def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dyadic_cube(Q) -> tuple[int, int]:
-    """(nu, tau) of the dyadic cube Q; ValueError unless both are integers
-    (numpy's too, bool not) and nu >= 0."""
-    nu, tau = Q
+    """(nu, tau) of the dyadic cube Q; ValueError unless Q is a pair of
+    integers (numpy's too, bool not) with nu >= 0."""
+    try:
+        nu, tau = Q
+    except (TypeError, ValueError):
+        raise ValueError(f"Q must be a dyadic cube (nu, tau), a pair, got {Q!r}") from None
     # concrete types: a numbers.Integral check costs 2.5 us, on every report
     if not (isinstance(nu, (int, np.integer)) and isinstance(tau, (int, np.integer))
             and not isinstance(nu, bool) and not isinstance(tau, bool) and nu >= 0):
@@ -366,7 +410,7 @@ def _certify(f, params: MoleculeParams, starred: bool) -> dict:
     gmax = max(math.floor(s), 0)
     # (M2)'s exponent is M - s when s < 0, where (M3)/(M4) are void, so one
     # exponent serves every envelope a report reads
-    env, ix, iy, weight = _grid_tables(M if starred else M - min(s, 0.0), delta)
+    env, weight = _grid_tables(M if starred else M - min(s, 0.0), delta)
     # one f call: the rows grid + k H (at gmax = 0 the grid itself), then
     # the (M1) nodes
     pts = (_GRID_Y + _H * np.arange(-gmax, gmax + 1.0)[:, None]).ravel() if gmax else _GRID_Y
@@ -409,8 +453,12 @@ def _certify(f, params: MoleculeParams, starred: bool) -> dict:
         gammas = ratio[1:] if starred else ratio
         if gammas:
             conditions["M3" + star] = {"value": None, "ratio": _worst(gammas)}
-        diff = d[ix]
-        diff -= d[iy]
+        # the pairs of each stride, d[st:] - d[:-st], into one buffer in
+        # _grid_tables' order
+        diff, i = np.empty(weight.size), 0
+        for st in _STRIDES:
+            np.subtract(d[st:], d[:-st], out=diff[i : i + d.size - st])
+            i += d.size - st
         np.abs(diff, out=diff)
         value = float(diff.max())
         diff /= weight

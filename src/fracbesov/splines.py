@@ -128,9 +128,13 @@ def bspline_ppform(n: int, c, k0: int) -> PPForm:
     By the symmetry B_n(p + f) = B_n(n - p + (1 - f)) the same polynomial
     is sum_d (1 - f)^d sum_p P[d, n - p] c[j - p].  The taps are convolved
     with the pieces into one column per interval j = 0..len(c) + n - 1 of
-    the support for each form, 2 (n + 1)^2 (len(c) + n) multiply-adds; the
-    table is returned read-only.  n must be an integer >= 0 and k0 an
-    integer: the evaluator's support bounds assume integer knots.
+    the support for each form, 2 (n + 1)^2 (len(c) + n) multiply-adds,
+    written as an explicit sum over p = 0..n of a column of P times the
+    window of c that tap p reads.  A matrix product would be numpy's only
+    BLAS-3 (gemm) call on the natural path, and its first call costs the
+    process about 0.4 MB of BLAS buffers for a table of a few hundred
+    entries.  The table is returned read-only.  n must be an integer >= 0
+    and k0 an integer: the evaluator's support bounds assume integer knots.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
@@ -138,14 +142,18 @@ def bspline_ppform(n: int, c, k0: int) -> PPForm:
         raise ValueError(f"k0 must be an integer, got {k0!r}")
     n, k0 = int(n), int(k0)
     c = np.asarray(c, dtype=float)
-    # column j holds the window c[j - n..j] of c padded by n zeros on each
+    # column j reads the window c[j - n..j] of c padded by n zeros on each
     # side, reversed against the pieces for the offset f and taken as is
-    # for 1 - f
+    # for 1 - f; row p of the windows is cpad[p:p + width]
     width = c.size + n
     cpad = np.concatenate([np.zeros(n), c, np.zeros(n)])
-    windows = cpad[np.arange(n + 1)[:, None] + np.arange(width)]
     pieces = _bspline_pieces(n)
-    table = np.concatenate([pieces[:, ::-1] @ windows, pieces @ windows], axis=1)
+    table = np.zeros((n + 1, 2 * width))
+    left, right = table[:, :width], table[:, width:]
+    for p in range(n + 1):
+        window = cpad[p : p + width]
+        left += pieces[:, n - p, None] * window
+        right += pieces[:, p, None] * window
     table.flags.writeable = False
     return PPForm(n, k0, table)
 

@@ -933,12 +933,14 @@ class TestMolecule:
                 assert molecule_check(f, (0, 0), params).conditions == fw._certify(f, params, True)
 
     @pytest.mark.parametrize(
-        "Q", [(-1, 0), (0.5, 0), (1, 0.5), (1.0, 0), (np.float64(2), 3), (True, 0), (1, False)],
+        "Q", [(-1, 0), (0.5, 0), (1, 0.5), (1.0, 0), (np.float64(2), 3), (True, 0), (1, False),
+              5, None, (1, 2, 3), (1,)],
         ids=repr)
     def test_rejects_non_dyadic_cube(self, Q):
         # (-1, 0) and (0.5, 0) passed as starred nu = 0 reports with wrong
         # 2^(nu/2) scalings, and (1, 0.5) centred off the lattice of the
-        # (M1) panel ends
+        # (M1) panel ends; 5 and None raised TypeError and (1, 2, 3) a bare
+        # unpacking error, naming no cube
         f = natural_system(3).wavelet_fn
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
         with pytest.raises(ValueError, match="dyadic cube"):

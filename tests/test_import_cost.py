@@ -4,11 +4,15 @@ The first call of np.unique imports numpy.ma, 1.6 MB of peak RSS, and
 importing scipy.special takes longer than a whole benchmark set-up, so
 neither may be reached from the natural certification path.  The natural
 systems are built from exact integers in closed form, so no root or
-eigenvalue solver may be reached either, and Python ints carry every exact
-value, so neither may fractions or decimal.  The natural functions build
-their pp-form tables once, so repeated certification allocates only the
-per-call arrays of the points inside each support.  The checks run in a
-fresh interpreter, where no other test has imported or cached anything.
+eigenvalue solver may be reached either: not np.roots, not LAPACK's eig,
+eigvals, eigh or eigvalsh.  panel_rule finds its Gauss-Legendre nodes by
+Newton's method, so the (M1) rule imports nothing from numpy.polynomial,
+whose leggauss would add its 9 modules (0.6 MB) and an eigvalsh call
+(0.6-0.8 MB).  Python ints carry every exact value, so neither fractions nor
+decimal may be imported.  The natural functions build their pp-form tables
+once, so repeated certification allocates only the per-call arrays of the
+points inside each support.  The checks run in a fresh interpreter, where
+no other test has imported or cached anything.
 """
 
 import json
@@ -43,7 +47,8 @@ for s in (0.0, 1.0):
     molecule_check(nat.scale_fn, (0, 0), params)
     molecule_check(molecule(nat.wavelet_fn, (1, 2)), (1, 2), params)
 print(json.dumps(sorted(m for m in sys.modules
-                        if m in ("numpy.ma", "fractions", "decimal") or m.startswith("scipy"))))
+                        if m in ("numpy.ma", "fractions", "decimal")
+                        or m.startswith(("scipy", "numpy.polynomial")))))
 """
 
 
@@ -63,7 +68,7 @@ import numpy as np
 def refuse(*args, **kwargs):
     raise AssertionError("a root or eigenvalue solver was called")
 
-np.roots = np.linalg.eig = np.linalg.eigvals = refuse
+np.roots = np.linalg.eig = np.linalg.eigvals = np.linalg.eigh = np.linalg.eigvalsh = refuse
 from fracbesov.frac_wavelets import molecule_check, molecule_params_for, natural_system
 
 for n in range(1, 9):
@@ -107,9 +112,9 @@ def test_cached_tables_shared_and_read_only():
     check(2, 5)
     check(1, -7)
     assert misses() == before
-    env, ix, iy, weight = fw._grid_tables(params.M, params.delta)
+    env, weight = fw._grid_tables(params.M, params.delta)
     assert np.all(weight > 0)
-    for arr in (fw._GRID_Y, env, ix, iy, weight, *fw._moment_rule()):
+    for arr in (fw._GRID_Y, env, weight, *fw._moment_rule()):
         with pytest.raises(ValueError):
             arr[...] = np.zeros_like(arr)
 

@@ -286,7 +286,11 @@ def reference_filtered(n: int, u, c, k0: int):
     cpad = np.concatenate([np.zeros(n + 1), c, np.zeros(n + 1)])
     windows = cpad[np.arange(n + 1)[:, None] + np.arange(width)]
     pieces = _bspline_pieces(n)
-    table = np.concatenate([pieces[:, ::-1] @ windows, pieces @ windows], axis=1)
+    # bspline_ppform's sum over the taps p, in its order
+    table = np.zeros((n + 1, 2 * width))
+    for p in range(n + 1):
+        table[:, :width] += pieces[:, n - p, None] * windows[p]
+        table[:, width:] += pieces[:, p, None] * windows[p]
     right = f > 0.5
     v = np.where(right, 1.0 - f, f)
     col = np.fmin(np.fmax(m - (k0 - 1), 0.0), width - 1).astype(np.intp)
@@ -344,7 +348,12 @@ def test_certifier_matches_exact_derivative(n, bound):
     # against 5.1348990, (M3*) 8.9999485 against 9), at n = 3, 4 by at
     # most 3.9e-10
     params = molecule_params_for(2.0, 2.0, 1.0, 1.0, float(n))
-    env, ix, iy, weight = fw._grid_tables(params.M, params.delta)
+    env, weight = fw._grid_tables(params.M, params.delta)
+    # the (M4) pairs of index strides 1, 4, 16, 64 as index arrays, in the
+    # order of the certifier's weight table
+    size, strides = fw._GRID_Y.size, (1, 4, 16, 64)
+    ix = np.concatenate([np.arange(st, size) for st in strides])
+    iy = np.concatenate([np.arange(size - st) for st in strides])
     sys, nat = bl_system(n), natural_system(n)
     taps = np.convolve(_wavelet_taps(sys), [1.0, -1.0])
     for nu, tau in ((0, 0), (1, 0), (2, 3)):
