@@ -36,7 +36,6 @@ point.  Translates take x - k.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +46,7 @@ import numpy as np
 from .splines import (  # noqa: F401
     PPForm,
     _bspline_piece_int,
+    _integer,
     bspline_derivative,
     bspline_natural,
     bspline_ppform,
@@ -73,8 +73,7 @@ def bl_system(n: int) -> BLSystem:
     Python ints, rounded once before the square root.  The cache is typed,
     so 2.0 and True reach the check below.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 1 <= n <= 8:
-        raise ValueError(f"n must be an integer in 1..8, got {n!r}")
+    n = _integer("n", n, 1, 8)
     m = 2 * n + 1
     lam = [(2 - (j == 0)) * _bspline_piece_int(m, 0, n + 1 + j) for j in range(n + 1)]
     tangent = sum((-1) ** j * l for j, l in enumerate(lam))

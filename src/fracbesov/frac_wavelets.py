@@ -31,7 +31,6 @@ of the fractional one, scaled by c0 and c.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -44,6 +43,7 @@ from .specfun import gbinom_row
 from .splines import (
     FractionalSpline,
     TruncationError,
+    _integer,
     _is_nat,
     beta_plus_filtered,
     beta_star_integer_samples,
@@ -80,8 +80,7 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
-    if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral) or kmax < 1:
-        raise ValueError(f"trunc must be an integer >= 1, got {kmax!r}")
+    kmax = _integer("trunc", kmax, 1)
     ltrunc = kmax + 48
     sam = beta_star_integer_samples(2.0 * alpha + 1.0, kmax + ltrunc + 2)
     mid = kmax + ltrunc + 2
@@ -181,6 +180,16 @@ class InfeasibleOrderError(ValueError):
 
 @dataclass(frozen=True)
 class MoleculeParams:
+    """The exponents of the molecule conditions, and what reads each.
+
+    delta is (M4)'s Hoelder exponent; M the decay exponent of the envelopes
+    (1 + |y|)^-M; N the highest moment of (M1), void for N = -1.  s decides
+    which conditions apply: [s] is the highest derivative of (M3) and (M4),
+    both void for s < 0, where (M2)'s exponent is M - s.  J enters only
+    the check M > J.  Each field must be finite, N an integer >= -1, and
+    s - [s] < delta <= 1; otherwise ValueError names the field.
+    """
+
     delta: float
     M: float
     N: int
@@ -191,13 +200,13 @@ class MoleculeParams:
         for name in ("s", "M", "J", "delta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        N = self.N
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < -1:
-            raise ValueError(f"N must be an integer >= -1, got {N!r}")
-        if not (self.s - math.floor(self.s)) < self.delta <= 1.0:
-            raise ValueError("need s - [s] < delta <= 1")
+        _integer("N", self.N, -1)
+        frac_s = self.s - math.floor(self.s)
+        if not frac_s < self.delta <= 1.0:
+            raise ValueError(f"delta must be in (s - [s], 1] = ({frac_s!r}, 1], "
+                             f"got {self.delta!r}")
         if not self.M > self.J:
-            raise ValueError("need M > J")
+            raise ValueError(f"M must be > J = {self.J!r}, got {self.M!r}")
 
 
 def molecule_params_for(
@@ -237,12 +246,6 @@ class MoleculeReport:
     nu: int
     tau: int
     conditions: dict = field(default_factory=dict)
-
-    @property
-    def max_envelope_ratio(self) -> float:
-        """Largest (M2)-(M4) ratio; NaN if any ratio is NaN."""
-        vals = [v["ratio"] for k, v in self.conditions.items() if k != "M1"]
-        return float(np.max(vals)) if vals else 0.0
 
     def passes(self) -> bool:
         """Every condition holds; a non-finite value or ratio fails."""
@@ -345,9 +348,7 @@ def panel_rule(breaks: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarr
             and (np.diff(breaks) > 0).all()):
         raise ValueError("breaks must be 1-D, finite and strictly increasing with at "
                          f"least 2 entries, got {breaks!r}")
-    if isinstance(npts, bool) or not isinstance(npts, numbers.Integral) or npts < 1:
-        raise ValueError(f"npts must be an integer >= 1, got {npts!r}")
-    x, w = _gauss_legendre(int(npts))
+    x, w = _gauss_legendre(_integer("npts", npts, 1))
     a = breaks[:-1]
     h = np.diff(breaks)
     nodes = a[:, None] + (x[None, :] + 1.0) * (h[:, None] / 2.0)
@@ -371,17 +372,15 @@ def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dyadic_cube(Q) -> tuple[int, int]:
-    """(nu, tau) of the dyadic cube Q; ValueError unless Q is a pair of
-    integers (numpy's too, bool not) with nu >= 0."""
+    """(nu, tau) of the dyadic cube Q, as ints; ValueError unless Q is a
+    pair of integers (numpy's too, bool not) with 0 <= nu <= 1023 and
+    |tau| < 2^35, the cubes whose points molecule_check forms exactly."""
     try:
         nu, tau = Q
+        return _integer("nu", nu, 0, 1023), _integer("tau", tau, 1 - 2**35, 2**35 - 1)
     except (TypeError, ValueError):
-        raise ValueError(f"Q must be a dyadic cube (nu, tau), a pair, got {Q!r}") from None
-    # concrete types: a numbers.Integral check costs 2.5 us, on every report
-    if not (isinstance(nu, (int, np.integer)) and isinstance(tau, (int, np.integer))
-            and not isinstance(nu, bool) and not isinstance(tau, bool) and nu >= 0):
-        raise ValueError(f"Q must be a dyadic cube (nu, tau), integers with nu >= 0, got {Q!r}")
-    return nu, tau
+        raise ValueError("Q must be a dyadic cube (nu, tau), integers with 0 <= nu <= 1023 "
+                         f"and |tau| < 2^35, got {Q!r}") from None
 
 
 def _worst(values: list) -> float:
@@ -474,12 +473,17 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     y -> 2^(-nu/2) fn(x_Q + y / 2^nu), which is f again, so the ratios and
     values are f's, the same for every (nu, tau), and (M1) is int y^gamma
     f.  fn is called once, at x_Q + y / 2^nu for the grid points and their
-    difference points y + k 2^-17 (every one exact) and the (M1) nodes of
-    y; it must return one value per point.  Each condition maps to its
-    "value" and "ratio"; report-only: ratios > 1 mean the condition fails,
-    and a NaN value reaches every condition that reads it.  A Q that is not
-    a dyadic cube raises ValueError, and so does an fn whose values do not
-    have the points' 1-D shape.
+    difference points y + k 2^-17 and the (M1) nodes of y; it must return
+    one value per point.  The cube must be a pair of integers (numpy's
+    too, bool not) with 0 <= nu <= 1023 and |tau| < 2^35: there 2^nu is
+    finite and tau + y + k 2^-17 fits in a double's 53 bits, so every grid
+    and difference point is exact, and (M2)-(M4) are the same numbers for
+    every cube.  The Gauss nodes of (M1) are not dyadic, so they round in
+    x, and (M1)'s value drifts with |tau|.  Any other Q raises ValueError,
+    and so does an fn whose values do not have the points' 1-D shape.
+    Each condition maps to its "value" and "ratio"; report-only: ratios >
+    1 mean the condition fails, and a NaN value reaches every condition
+    that reads it.
     """
     nu, tau = _dyadic_cube(Q)
     scale = 2.0**nu

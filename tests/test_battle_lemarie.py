@@ -16,8 +16,14 @@ from fracbesov.battle_lemarie import (
     scaling_localized,
     wavelet_localized,
 )
+from fracbesov import frac_wavelets as fw
 from fracbesov.frac_wavelets import natural_system, panel_rule
-from fracbesov.splines import bspline_filtered, bspline_natural, bspline_ppform
+from fracbesov.splines import (
+    _bspline_natural_ppform,
+    bspline_filtered,
+    bspline_natural,
+    bspline_ppform,
+)
 from test_natural_oracle import integer_samples
 from test_quadrature import graded_breaks
 
@@ -374,13 +380,27 @@ class TestWavelet:
         # the assembled formula's translate Psi_n(x - s) is supported on
         # [s-n, s+n+1]; the interval stated alongside it in the source
         # material, [s-n/2, s+3n/2+1], is inconsistent with the formula
-        # (nonzero on [s-n, s-n/2))
-        for n, s in [(1, 0), (2, -6)]:
+        # (nonzero on [s-n, s-n/2)).  At s - 0.6 n inside that interval |Psi_n|
+        # is 1.2e-8 or more for n <= 8; at s - 0.75 n it falls to 6.6e-13 at
+        # n = 8
+        for n in range(1, 9):
             sys = bl_system(n)
-            a, b = s - n, s + n + 1
-            xs_out = np.array([a - 0.05, b + 0.05, a - 2.0, b + 2.0])
-            assert np.allclose(wavelet_localized(sys, xs_out - s), 0.0, atol=1e-15)
-            assert abs(wavelet_localized(sys, a + 0.25 * n - s)) > 1e-12
+            for s in (0, -6):
+                a, b = s - n, s + n + 1
+                xs_out = np.array([a - 0.05, b + 0.05, a - 2.0, b + 2.0])
+                assert np.allclose(wavelet_localized(sys, xs_out - s), 0.0, atol=1e-15)
+                assert abs(wavelet_localized(sys, a + 0.4 * n - s)) > 1e-12
+            # in y the natural molecules are B_n on [0, n + 1] and Psi_n on
+            # [-n, n + 1], both inside the certification window, so a natural
+            # report reads every point where its function is nonzero.  The
+            # pp-forms give the supports: B_n's is [k0, k0 + width) and the
+            # wavelet's is that in u = 2x + n
+            scale, wavelet = _bspline_natural_ppform(n), _wavelet_ppform(sys)
+            width = scale.table.shape[1] // 2
+            assert (scale.k0, scale.k0 + width) == (0, n + 1)
+            width = wavelet.table.shape[1] // 2
+            assert ((wavelet.k0 - n) / 2, (wavelet.k0 + width - n) / 2) == (-n, n + 1)
+            assert fw._GRID_Y[0] <= -n and n + 1 <= fw._GRID_Y[-1]
 
     def test_integral_zero(self):
         for n in (1, 2, 3):

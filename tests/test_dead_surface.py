@@ -1,16 +1,20 @@
-"""Every public top-level name of the package is used by the package or
-the benchmark.
+"""Every public top-level name of the package, and every public method,
+property and field of its classes, is used by the package or the benchmark.
 
 The names are read from the AST of src/fracbesov/*.py.  A use is a Name
 or Attribute node in src/fracbesov/ or fracbench/ outside the name's own
 definition, or a name that fracbench/spans.py patches by getattr; tests and
 docstrings do not count.  A name that only tests call belongs in tests/,
-unless it is listed in ALLOWED with the reason it stays.
+unless it is listed in ALLOWED with the reason it stays.  A class member,
+listed as "Class.member", is used where its name is read as an attribute,
+or passed as a keyword, in src/fracbesov/ or fracbench/ outside its own
+class.
 """
 
 import ast
 import importlib.util
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "fracbesov").glob("*.py"))
@@ -38,6 +42,16 @@ def _used_names(node):
     }
 
 
+def _member_uses(node):
+    """How often each name is read as an attribute or passed as a keyword."""
+    return Counter(
+        sub.attr if isinstance(sub, ast.Attribute) else sub.arg
+        for sub in ast.walk(node)
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+        or (isinstance(sub, ast.keyword) and sub.arg is not None)
+    )
+
+
 def _traced_names():
     spec = importlib.util.spec_from_file_location("fracbench_spans", ROOT / "fracbench" / "spans.py")
     module = importlib.util.module_from_spec(spec)
@@ -45,11 +59,15 @@ def _traced_names():
     return {attr for _, attr, _, _ in module.targets()}
 
 
+def _trees(paths):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
 def public_names():
     return {
         name
-        for path in SRC
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        for tree in _trees(SRC)
+        for node in tree.body
         for name in _defined_names(node)
         if not name.startswith("_")
     }
@@ -57,10 +75,29 @@ def public_names():
 
 def used_names():
     used = _traced_names()
-    for path in SRC + BENCH:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for tree in _trees(SRC + BENCH):
+        for node in tree.body:
             used |= _used_names(node) - set(_defined_names(node))
     return used
+
+
+def unused_members():
+    """"Class.member" for each public member used nowhere outside its class."""
+    src = _trees(SRC)
+    uses = sum((_member_uses(tree) for tree in src + _trees(BENCH)), Counter())
+    unused = set()
+    for tree in src:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            outside = uses - _member_uses(cls)
+            unused |= {
+                f"{cls.name}.{name}"
+                for node in cls.body
+                for name in _defined_names(node)
+                if not name.startswith("_") and not outside[name]
+            }
+    return unused
 
 
 def test_every_public_name_is_used():
@@ -68,7 +105,11 @@ def test_every_public_name_is_used():
     assert not unused, f"public names only tests use: {sorted(unused)}"
 
 
+def test_every_public_member_is_used():
+    unused = unused_members() - set(ALLOWED)
+    assert not unused, f"class members only tests use: {sorted(unused)}"
+
+
 def test_allowed_names_are_still_unused():
     # an entry that is gone, or that the package now uses, leaves the list
-    assert set(ALLOWED) <= public_names()
-    assert not set(ALLOWED) & used_names()
+    assert set(ALLOWED) <= (public_names() - used_names()) | unused_members()

@@ -471,6 +471,11 @@ def _params(**fields):
     return MoleculeParams(**{**base, **fields})
 
 
+def _envelope_constant(rep):
+    """calibrate_constants' constant from the (M2)-(M4) ratios of a report."""
+    return fw._constant([e["ratio"] for name, e in rep.conditions.items() if name != "M1"])
+
+
 @pytest.mark.parametrize("variant", ["causal", "anticausal"])
 @pytest.mark.parametrize("alpha", [0.5, 4 / 3, 5 / 3])
 @pytest.mark.parametrize("block", [50, 997])
@@ -521,6 +526,12 @@ def test_chunked_evaluation_matches_default(block, alpha, variant, monkeypatch):
         (lambda: _params(N=True), "N"),
         (lambda: _params(N=-2), "N"),
         (lambda: _params(N=np.float64(0)), "N"),
+        # the two paper conditions said "need M > J" and "need s - [s] < delta
+        # <= 1", naming no field
+        (lambda: _params(M=1.0), "M"),
+        (lambda: _params(delta=0.0), "delta"),
+        (lambda: _params(delta=1.5), "delta"),
+        (lambda: _params(s=0.5, delta=0.5), "delta"),
         # -1 returned no samples, 2.5 raised numpy's IndexError, True was 1
         (lambda: beta_star_integer_samples(2.0, -1), "mmax"),
         (lambda: beta_star_integer_samples(2.0, 2.5), "mmax"),
@@ -530,6 +541,7 @@ def test_chunked_evaluation_matches_default(block, alpha, variant, monkeypatch):
          "bl-float", "bl-bool", "bl-9", "combined-float", "natural-0",
          "fields-s-nan", "fields-s-inf", "fields-M-inf", "fields-J-nan", "fields-delta-nan",
          "fields-N-half", "fields-N-bool", "fields-N-neg", "fields-N-float",
+         "fields-M-not-above-J", "fields-delta-0", "fields-delta-above-1", "fields-delta-frac-s",
          "mmax-neg", "mmax-float", "mmax-bool"],
 )
 def test_bad_argument_raises_naming_it(call, name):
@@ -591,9 +603,7 @@ class TestMoleculeCheck:
     def test_compact_support_passes_trivially(self):
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
         nat = natural_system(2)
-        rep = molecule_check(nat.scale_fn, (0, 0), params)
-        assert rep.max_envelope_ratio < math.inf
-        c0 = min(1.0, 0.98 / rep.max_envelope_ratio)
+        c0 = _envelope_constant(molecule_check(nat.scale_fn, (0, 0), params))
         rep2 = molecule_check(lambda x: c0 * nat.scale_fn(x), (0, 0), params)
         assert rep2.passes()
 
@@ -645,6 +655,14 @@ class TestMoleculeCheck:
                     assert set(rep) == set(ref)
                     for cond in set(ref) - {"M1"}:
                         assert rep[cond]["ratio"] == pytest.approx(ref[cond]["ratio"], rel=1e-12)
+            # at the ends of the exact range |tau| < 2^35 the grid and its
+            # difference points are exact, so (M2)-(M4) are tau = 0's bit for
+            # bit; (M1)'s Gauss nodes round in x and drift (8.8e-6 against
+            # 6.4e-6 for the forward set at -(2^35 - 1), measured)
+            for tau in (2**35 - 1, -(2**35 - 1)):
+                rep = molecule_check(molecule(sysf.wavelet_fn, (1, tau)), (1, tau), params)
+                assert {c: e for c, e in rep.conditions.items() if c != "M1"} == {
+                    c: e for c, e in ref.items() if c != "M1"}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_natural_translation_covariance(self, n):
@@ -655,11 +673,14 @@ class TestMoleculeCheck:
         nat = natural_system(n)
         reps = [
             molecule_check(molecule(nat.wavelet_fn, Q), Q, params).conditions
-            for Q in ((1, 0), (2, -5))
+            for Q in ((1, 0), (2, -5), (1, 2**35 - 1), (1, -(2**35 - 1)))
         ]
         assert set(reps[0]) == set(reps[1]) >= {"M2", "M3", "M4"}
         for cond in ("M2", "M3", "M4"):
             assert reps[1][cond]["ratio"] == pytest.approx(reps[0][cond]["ratio"], rel=1e-11)
+        # N = -1: no (M1).  At |tau| = 2^35 - 1, the ends of molecule_check's
+        # exact range, every point is exact and the report is tau = 0's
+        assert reps[2] == reps[3] == reps[0]
 
     @pytest.mark.parametrize("n, s", [(3, 1), (4, 2)])
     def test_single_evaluation(self, n, s):
@@ -816,15 +837,13 @@ class TestMoleculeCheck:
         # and nan > 1 is False, so neither may decide it
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
         clean = molecule(natural_system(2).wavelet_fn, (nu, 0))
-        c = 0.98 / molecule_check(clean, (nu, 0), params).max_envelope_ratio
+        c = _envelope_constant(molecule_check(clean, (nu, 0), params))
         assert molecule_check(lambda x: c * clean(x), (nu, 0), params).passes()
 
         def spoiled(x):
             return np.where(x == 0.5, np.nan, c * clean(x))
 
-        rep = molecule_check(spoiled, (nu, 0), params)
-        assert math.isnan(rep.max_envelope_ratio)
-        assert not rep.passes()
+        assert not molecule_check(spoiled, (nu, 0), params).passes()
 
     def test_all_nan_fails(self):
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
@@ -934,13 +953,17 @@ class TestMolecule:
 
     @pytest.mark.parametrize(
         "Q", [(-1, 0), (0.5, 0), (1, 0.5), (1.0, 0), (np.float64(2), 3), (True, 0), (1, False),
-              5, None, (1, 2, 3), (1,)],
+              5, None, (1, 2, 3), (1,),
+              (1, 2**35), (1, -(2**35)), (1, 2**40), (1024, 0), (np.int64(1024), 0)],
         ids=repr)
     def test_rejects_non_dyadic_cube(self, Q):
         # (-1, 0) and (0.5, 0) passed as starred nu = 0 reports with wrong
         # 2^(nu/2) scalings, and (1, 0.5) centred off the lattice of the
         # (M1) panel ends; 5 and None raised TypeError and (1, 2, 3) a bare
-        # unpacking error, naming no cube
+        # unpacking error, naming no cube.  Past |tau| < 2^35 the points
+        # x_Q + y / 2^nu round: the order-2 wavelet's s = 1 report, which
+        # fails at (1, 0), passed at (1, 2^40).  nu = 1024 overflowed 2^nu,
+        # as an OverflowError, or for np.int64 as an all-NaN report
         f = natural_system(3).wavelet_fn
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
         with pytest.raises(ValueError, match="dyadic cube"):
