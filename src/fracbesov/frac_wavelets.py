@@ -45,6 +45,7 @@ from .splines import (
     TruncationError,
     _integer,
     _is_nat,
+    _order,
     beta_plus_filtered,
     beta_star_integer_samples,
     frac_bspline,
@@ -74,12 +75,11 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     and the samples both decay algebraically.  Returned read-only.
 
     An alpha outside (0, inf) raises ValueError naming alpha, and so does
-    a kmax that is not an integer >= 1 (or is a bool), naming trunc; the
-    cache is typed, so 60.0 and True are checked, not served from the
+    a kmax that is not an integer >= 1, naming trunc, either one a bool;
+    the cache is typed, so 60.0 and True are checked, not served from the
     entries of 60 and 1.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    _order(alpha)
     kmax = _integer("trunc", kmax, 1)
     ltrunc = kmax + 48
     sam = beta_star_integer_samples(2.0 * alpha + 1.0, kmax + ltrunc + 2)
@@ -243,12 +243,20 @@ def molecule_params_for(
 
 @dataclass
 class MoleculeReport:
+    """One function's conditions at the cube (nu, tau).
+
+    conditions maps those read, "M1"-"M4" (nu >= 1) or "M2*"-"M4*" (nu =
+    0), to {"value", "ratio"}: value is max |moment| (M1), max |f| (M2),
+    the largest pair difference (M4) or None (M3); ratio is value over
+    its envelope, None for (M1).  passes(): (M1)'s value <= MOMENT_TOL,
+    every other ratio <= 1 + 1e-9, and a non-finite entry fails.
+    """
+
     nu: int
     tau: int
     conditions: dict = field(default_factory=dict)
 
     def passes(self) -> bool:
-        """Every condition holds; a non-finite value or ratio fails."""
         for name, entry in self.conditions.items():
             key, limit = ("value", MOMENT_TOL) if name == "M1" else ("ratio", 1.0 + 1e-9)
             finite = all(math.isfinite(v) for v in entry.values() if v is not None)
@@ -403,10 +411,13 @@ def _certify(f, params: MoleculeParams, starred: bool) -> dict:
     |int y^gamma f|, gamma = 0..N, by _moment_rule; it is void for N < 0
     and absent from the starred set, as is (M3*) at gamma = 0.  Returns
     {condition: {"value", "ratio"}}; a NaN value reaches every condition
-    that reads it.
+    that reads it.  [s] >= 3 raises ValueError: the difference's rounding,
+    0.25 max|f| at gamma = 3, is no bound.
     """
     s, M, N, delta = params.s, params.M, params.N, params.delta
     gmax = max(math.floor(s), 0)
+    if gmax > 2:
+        raise ValueError(f"s must be < 3, got {s!r}")
     # (M2)'s exponent is M - s when s < 0, where (M3)/(M4) are void, so one
     # exponent serves every envelope a report reads
     env, weight = _grid_tables(M if starred else M - min(s, 0.0), delta)
@@ -480,10 +491,8 @@ def molecule_check(fn, Q: tuple[int, int], params: MoleculeParams) -> MoleculeRe
     and difference point is exact, and (M2)-(M4) are the same numbers for
     every cube.  The Gauss nodes of (M1) are not dyadic, so they round in
     x, and (M1)'s value drifts with |tau|.  Any other Q raises ValueError,
-    and so does an fn whose values do not have the points' 1-D shape.
-    Each condition maps to its "value" and "ratio"; report-only: ratios >
-    1 mean the condition fails, and a NaN value reaches every condition
-    that reads it.
+    and so do an fn whose values do not have the points' 1-D shape and an
+    [s] >= 3 (_certify).  Report-only.
     """
     nu, tau = _dyadic_cube(Q)
     scale = 2.0**nu
@@ -530,12 +539,17 @@ def fractional_system(
     scale_fn = c0 beta^alpha and wavelet_fn = c Psi_combined of order
     comb_n with psi truncated at |k| <= trunc; calibrate_constants finds
     the largest c0, c that make the pair molecules.  A c0 or c outside
-    (0, 1], NaN included, raises ValueError naming it.
+    (0, 1], NaN included, raises ValueError naming it, as do an alpha that
+    is not fractional, a comb_n outside 1..8 and a bad trunc.
     """
     for name, value in (("c0", c0), ("c", c)):
         if not 0.0 < value <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
     spec = FractionalSpline(alpha, variant)
+    if _is_nat(alpha):
+        raise ValueError(f"alpha must be fractional, got {alpha!r}")
+    bl_system(comb_n)  # checks comb_n; cached for the wavelet's first call
+    _integer("trunc", trunc, 1)
     return WaveletSystem(
         lambda x: c0 * frac_bspline(spec, x),
         lambda x: c * Psi_combined(alpha, comb_n, variant, x, trunc=trunc),
@@ -562,7 +576,7 @@ def calibrate_constants(
     ``params``.  Certify (M1) on the calibrated system with
     ``molecule_check`` and ``params``.  ``nus`` needs only to hold a nu >=
     1; without one, where c would be certified by nothing, it raises
-    ValueError, and so does a non-finite ratio.
+    ValueError, and so do a non-finite ratio and an [s] >= 3 (_certify).
     """
     if not any(nu >= 1 for nu in nus):
         raise ValueError(f"nus must hold a nu >= 1, got {nus!r}")

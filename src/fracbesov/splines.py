@@ -7,7 +7,7 @@ The causal spline of order alpha > 0 is the locally finite series
 
 and the anticausal one is its reflection; both are evaluated by
 beta_plus_filtered, the package's one fractional evaluator.  Natural orders
-are always routed to bspline_filtered, never to the fractional series: on
+are always routed to the pp-form, never to the fractional series: on
 each integer interval a natural spline is one polynomial in the offset
 (de Boor's pp-form).  Its coefficients are the same series at alpha = n,
 expanded in the offset and summed in Python ints, then rounded once, per
@@ -45,8 +45,8 @@ class TruncationError(RuntimeError):
 class FractionalSpline:
     """A one-sided fractional B-spline beta^alpha translated by shift_k.
 
-    0 < alpha < inf; variant is "causal" (beta_+^alpha, zero left of shift_k) or
-    "anticausal" (its reflection, zero right of shift_k).
+    0 < alpha < inf, not bool; variant is "causal" (beta_+^alpha, zero left
+    of shift_k) or "anticausal" (its reflection, zero right of shift_k).
     """
 
     alpha: float
@@ -54,14 +54,19 @@ class FractionalSpline:
     shift_k: int = 0
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        _order(self.alpha)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
 
 
 def _is_nat(a: float) -> bool:
     return a == math.floor(a) and a >= 0
+
+
+def _order(alpha) -> None:
+    """ValueError naming alpha unless it is a finite number > 0, not bool."""
+    if isinstance(alpha, bool) or not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
@@ -203,17 +208,6 @@ def ppform_eval(pp: PPForm, u) -> np.ndarray | float:
     return _shaped(out, u)
 
 
-def bspline_filtered(n: int, u, c, k0: int) -> np.ndarray | float:
-    """sum_i c[i] B_n(u - k0 - i) at every point of u.
-
-    The natural-order spline with coefficients c on the integers k0, k0 +
-    1, ...: its pp-form (bspline_ppform) evaluated at u (ppform_eval).  A
-    function evaluated repeatedly builds its pp-form once and calls
-    ppform_eval instead.
-    """
-    return ppform_eval(bspline_ppform(n, c, k0), u)
-
-
 @lru_cache(maxsize=64, typed=True)
 def _bspline_natural_ppform(n: int) -> PPForm:
     """The pp-form of B_n, built once per order; typed, so that 2.0 and
@@ -224,8 +218,8 @@ def _bspline_natural_ppform(n: int) -> PPForm:
 def bspline_natural(n: int, x):
     """B_n, supported on [0, n+1]; B_0 = indicator of [0, 1).
 
-    The single-coefficient case of bspline_filtered, from a pp-form built
-    once per order.
+    The pp-form of the single coefficient 1 at k0 = 0, built once per
+    order, read by ppform_eval.
     """
     return ppform_eval(_bspline_natural_ppform(n), x)
 
@@ -233,17 +227,17 @@ def bspline_natural(n: int, x):
 def bspline_derivative(n: int, order: int, x):
     """Exact order-th derivative of B_n via the difference of lower orders.
 
-    B_n^(r)(x) = sum_{i=0}^{r} (-1)^i binom(r, i) B_{n-r}(x - i), one
-    bspline_filtered pass with the signed binomial row; requires r <= n - 1
-    so the result is at least continuous.  n and order must be integers
-    (numpy's too, bool not); a ValueError names the one that is not, or
-    the order outside [0, n - 1].
+    B_n^(r)(x) = sum_{i=0}^{r} (-1)^i binom(r, i) B_{n-r}(x - i): the
+    pp-form of the signed binomial row at k0 = 0, built per call and read
+    by ppform_eval; requires r <= n - 1 so the result is at least
+    continuous.  n and order must be integers (numpy's too, bool not); a
+    ValueError names the one that is not, or the order outside [0, n - 1].
     """
     n, order = _integer("n", n), _integer("order", order)
     if order < 0 or order > n - 1:
         raise ValueError(f"derivative order {order} not in [0, {n - 1}] for B_{n}")
     row = [(-1.0) ** i * math.comb(order, i) for i in range(order + 1)]
-    return bspline_filtered(n - order, x, row, 0)
+    return ppform_eval(bspline_ppform(n - order, row, 0), x)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +311,8 @@ def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray | float:
 
     The one-sided spline with coefficients h on the integers k0, k0 + 1,
     ...; every causal and anticausal series (the spline, its derivatives,
-    psi, Psi) is one call.  Natural orders go to bspline_filtered, the
-    exact B_n.  Otherwise each point splits exactly into u = m + f,
+    psi, Psi) is one call.  Natural orders go to the pp-form evaluator,
+    the exact B_n.  Otherwise each point splits exactly into u = m + f,
     m = floor(u), and every argument u - k0 - i shares its offset f.  The
     distinct offsets are tabulated once by beta_plus_table on m = 0..max(m)
     - k0, the rows are convolved with h, and each point reads column m - k0
@@ -328,7 +322,7 @@ def beta_plus_filtered(alpha: float, u, h, k0: int) -> np.ndarray | float:
     u); non-finite u give NaN.
     """
     if _is_nat(alpha):
-        return bspline_filtered(int(alpha), u, h, k0)
+        return ppform_eval(bspline_ppform(int(alpha), h, k0), u)
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
     flat = u.ravel()
@@ -363,10 +357,10 @@ def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     the mirrored grid point, so one zeta evaluation serves both terms.  An
     inverse FFT of the N samples of F recovers the integer values with
     aliasing error O(N^(-alpha-2)).  An alpha outside (0, inf), or an mmax
-    that is not an integer >= 0 (or is a bool), raises ValueError naming it.
+    that is not an integer >= 0 (either one a bool), raises ValueError
+    naming it.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    _order(alpha)
     mmax = _integer("mmax", mmax, 0)
     s = alpha + 1.0
     N = max(4096, 1 << int(2 * mmax + 2).bit_length())

@@ -20,9 +20,9 @@ from fracbesov import frac_wavelets as fw
 from fracbesov.frac_wavelets import natural_system, panel_rule
 from fracbesov.splines import (
     _bspline_natural_ppform,
-    bspline_filtered,
     bspline_natural,
     bspline_ppform,
+    ppform_eval,
 )
 from test_natural_oracle import integer_samples
 from test_quadrature import graded_breaks
@@ -95,7 +95,7 @@ def root_pair(n: int, x):
     unnormalized spline."""
     ref = root_system(n)
     x = np.asarray(x, dtype=float)
-    s = bspline_filtered(n, 2.0 * x + n, _wavelet_taps(bl_system(n)), -n)
+    s = ppform_eval(bspline_ppform(n, _wavelet_taps(bl_system(n)), -n), 2.0 * x + n)
     return (ref.beta_n * bspline_natural(n, x) / ref.beta_n,
             ref.gamma_n / 2.0**n * s / ref.Lambda_dprime)
 

@@ -30,9 +30,10 @@ from fracbesov.splines import (
     _bspline_pieces,
     _shaped,
     bspline_derivative,
-    bspline_filtered,
     bspline_natural,
+    bspline_ppform,
     frac_bspline,
+    ppform_eval,
 )
 
 
@@ -106,13 +107,14 @@ def test_filtered_matches_exact(n):
         c = rng.integers(-9, 10, 2 * n + 3)
         u = dyadic_points(k0 - 3, k0 + c.size + n + 3)
         ref = exact_filtered(n, u, c, k0)
-        got = bspline_filtered(n, u, c.astype(float), k0)
+        got = ppform_eval(bspline_ppform(n, c.astype(float), k0), u)
         assert got.shape == u.shape
         assert rel_err(got, ref) <= 1e-13
         # an off-by-one tap index is far outside the bound
-        assert rel_err(bspline_filtered(n, u, c.astype(float), k0 + 1), ref) > 1e-3
+        assert rel_err(ppform_eval(bspline_ppform(n, c.astype(float), k0 + 1), u), ref) > 1e-3
     # points outside the support are exactly 0, at negative u too
-    assert np.all(bspline_filtered(n, np.array([-7.5, -1.0, n + 1.0, n + 9.25]), [1.0], 0) == 0.0)
+    outside = np.array([-7.5, -1.0, n + 1.0, n + 9.25])
+    assert np.all(ppform_eval(bspline_ppform(n, [1.0], 0), outside) == 0.0)
 
 
 def test_integer_samples_match_exact():
@@ -161,7 +163,7 @@ def test_exact_pieces(n):
             assert poly_derivative_at(left, r, 1) == poly_derivative_at(right, r, 0)
     # constant terms are the integer samples
     assert P[0] == [exact_bspline(n, Fraction(p)) for p in range(n + 1)]
-    # the reflection B_n(p + 1 - f) = B_n(n - p + f) that bspline_filtered
+    # the reflection B_n(p + 1 - f) = B_n(n - p + f) that ppform_eval
     # uses for offsets above 1/2: coefficient k of piece p at 1 - f
     for p in range(n + 1):
         reflected = [
@@ -178,7 +180,7 @@ def test_non_finite_gives_nan(n):
         assert math.isnan(bspline_natural(n, v))
     u = np.array(bad + [0.5])
     got = bspline_natural(n, u)
-    filtered = bspline_filtered(n, u, [1.0, -2.0, 3.0], -1)
+    filtered = ppform_eval(bspline_ppform(n, [1.0, -2.0, 3.0], -1), u)
     assert np.all(np.isnan(got[:3])) and np.isfinite(got[3])
     assert np.all(np.isnan(filtered[:3])) and np.isfinite(filtered[3])
 
@@ -234,7 +236,7 @@ def test_bad_order_or_offset_is_refused(n, k0, name):
     # a fractional k0 used to read the wrong pieces: B_2 at 1.7 - 0.5 gave
     # 0.245 for 0.66; n = 2.0 and n = True failed inside range and indexing
     with pytest.raises(ValueError, match=name):
-        bspline_filtered(n, [0.5, 1.7], [1.0], k0)
+        ppform_eval(bspline_ppform(n, [1.0], k0), [0.5, 1.7])
     if name == "n":
         with pytest.raises(ValueError, match=name):
             bspline_natural(n, 1.5)
@@ -259,16 +261,17 @@ def test_filtered_matches_exact_property(data, n, taps, k0):
         + [-1e-20]
     )
     c = np.array(taps, dtype=float)
-    got = bspline_filtered(n, u, c, k0)
+    pp = bspline_ppform(n, c, k0)
+    got = ppform_eval(pp, u)
     ref = exact_filtered(n, u, taps, k0)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.sum(np.abs(c)))
     assert np.all(got[len(inside) : -1] == 0.0)
     # non-finite points give NaN, a 0-d point a float, a 2-D array its shape
-    bad = bspline_filtered(n, [np.nan, np.inf, -np.inf], c, k0)
+    bad = ppform_eval(pp, [np.nan, np.inf, -np.inf])
     assert np.all(np.isnan(bad))
-    scalar = bspline_filtered(n, np.float64(u[0]), c, k0)
+    scalar = ppform_eval(pp, np.float64(u[0]))
     assert type(scalar) is float and scalar == got[0]
-    grid = bspline_filtered(n, np.stack([u, u[::-1]]), c, k0)
+    grid = ppform_eval(pp, np.stack([u, u[::-1]]))
     assert grid.shape == (2, u.size)
     assert np.array_equal(grid, np.stack([got, got[::-1]]))
 
@@ -362,7 +365,7 @@ def test_certifier_matches_exact_derivative(n, bound):
             fn, d0, d1 = nat.scale_fn, nat.scale_fn(y), bspline_derivative(n, 1, y)
         else:
             fn, d0 = molecule(nat.wavelet_fn, (nu, tau)), nat.wavelet_fn(y)
-            d1 = 2.0 * sys.kappa * bspline_filtered(n - 1, 2.0 * y + n, taps, -n)
+            d1 = 2.0 * sys.kappa * ppform_eval(bspline_ppform(n - 1, taps, -n), 2.0 * y + n)
         # the certifier reads m_Q's pull-back, f itself
         r0, r1 = (float(np.max(np.abs(d) / env)) for d in (d0, d1))
         m4 = float(np.max(np.abs(d1[ix] - d1[iy]) / weight))
