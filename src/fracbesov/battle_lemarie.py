@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,11 +56,20 @@ from .splines import (  # noqa: F401
 
 @dataclass(frozen=True)
 class BLSystem:
-    """Order n, the cosine weights lambda_j (j = 0..n) and kappa_n."""
+    """Order n, the weights lambda_j (j = 0..n), kappa_n and the wavelet's pp-form."""
 
     n: int
     lam: tuple[float, ...]
     kappa: float
+
+    @cached_property
+    def wavelet(self) -> PPForm:
+        """The read-only pp-form of sum_k d_k B_n(u - k), k = -n..2n+1, built
+        on first read: the taps d are translate_weights reversed (the weights
+        of D(u - t), t = -n..n) convolved with the signed binomial row of D =
+        B_{2n+1}^(n+1) = sum_i (-1)^i binom(n+1, i) B_n(. - i)."""
+        row = [(-1.0) ** i * math.comb(self.n + 1, i) for i in range(self.n + 2)]
+        return bspline_ppform(self.n, np.convolve(translate_weights(self)[::-1], row), -self.n)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -102,33 +111,14 @@ def translate_weights(sys: BLSystem) -> np.ndarray:
     return w
 
 
-def _wavelet_taps(sys: BLSystem) -> np.ndarray:
-    """Coefficients d_k, k = -n..2n+1, with sum_j lambda_j / (2 (-1)^j)
-    [D(u+j) + D(u-j)] = sum_k d_k B_n(u - k).
-
-    D = B_{2n+1}^(n+1) = sum_{i=0}^{n+1} (-1)^i binom(n+1, i) B_n(. - i),
-    so d is translate_weights reversed (the weights of D(u - t), t = -n..n)
-    convolved with that signed binomial row.
-    """
-    row = [(-1.0) ** i * math.comb(sys.n + 1, i) for i in range(sys.n + 2)]
-    return np.convolve(translate_weights(sys)[::-1], row)
-
-
-@lru_cache(maxsize=64)
-def _wavelet_ppform(sys: BLSystem) -> PPForm:
-    """The read-only pp-form of sum_k d_k B_n(u - k), k = -n..2n+1, built
-    once per system from _wavelet_taps."""
-    return bspline_ppform(sys.n, _wavelet_taps(sys), -sys.n)
-
-
 def wavelet_localized(sys: BLSystem, x):
     """Psi_n / Lambda'', the certified Battle-Lemarie wavelet.
 
-    kappa_n sum_k d_k B_n(u - k), u = 2x + n, with the 3n+2 taps of
-    _wavelet_taps on k = -n..2n+1: the system's pp-form (_wavelet_ppform,
-    built once) evaluated exactly at the points of u inside [-n, 3n+2),
-    the others 0.  The support is [-n, n+1]; the translate
-    Psi_{n,k,s}(x) is (-1)^k Psi_n(x - s).
+    kappa_n sum_k d_k B_n(u - k), u = 2x + n, with the 3n+2 taps d on
+    k = -n..2n+1: the system's pp-form (sys.wavelet, built once) evaluated
+    exactly at the points of u inside [-n, 3n+2), the others 0.  The
+    support is [-n, n+1]; the translate Psi_{n,k,s}(x) is (-1)^k
+    Psi_n(x - s).
     """
     u = 2.0 * np.asarray(x, dtype=float) + sys.n
-    return sys.kappa * ppform_eval(_wavelet_ppform(sys), u)
+    return sys.kappa * ppform_eval(sys.wavelet, u)

@@ -46,6 +46,7 @@ from .splines import (
     _integer,
     _is_nat,
     _order,
+    _real,
     beta_plus_filtered,
     beta_star_integer_samples,
     frac_bspline,
@@ -77,7 +78,9 @@ def wavelet_filter(alpha: float, kmax: int) -> np.ndarray:
     An alpha outside (0, inf) raises ValueError naming alpha, and so does
     a kmax that is not an integer >= 1, naming trunc, either one a bool;
     the cache is typed, so 60.0 and True are checked, not served from the
-    entries of 60 and 1.
+    entries of 60 and 1.  The samples are of order 2 alpha + 1, whose
+    lattice sum overflows from alpha = 41.67 on (kmax <= 998), and there
+    beta_star_integer_samples raises ValueError naming that order's alpha.
     """
     _order(alpha)
     kmax = _integer("trunc", kmax, 1)
@@ -186,8 +189,9 @@ class MoleculeParams:
     (1 + |y|)^-M; N the highest moment of (M1), void for N = -1.  s decides
     which conditions apply: [s] is the highest derivative of (M3) and (M4),
     both void for s < 0, where (M2)'s exponent is M - s.  J enters only
-    the check M > J.  Each field must be finite, N an integer >= -1, and
-    s - [s] < delta <= 1; otherwise ValueError names the field.
+    the check M > J.  Each field must be a finite real number (not bool),
+    N an integer >= -1, and s - [s] < delta <= 1; otherwise ValueError
+    names the field.
     """
 
     delta: float
@@ -198,8 +202,7 @@ class MoleculeParams:
 
     def __post_init__(self):
         for name in ("s", "M", "J", "delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _real(name, getattr(self, name), "be finite", math.isfinite)
         _integer("N", self.N, -1)
         frac_s = self.s - math.floor(self.s)
         if not frac_s < self.delta <= 1.0:
@@ -220,13 +223,13 @@ def molecule_params_for(
     J = r_w/p + 1/p' with 1/p' = 1 - 1/p (J = r_w at p = 1, 1 at p = inf);
     N = max([J-s-1], -1);
     the admissible M is capped by the order-dependent bound
-    alpha + 1 - [s] (s >= -1) or alpha + 2 + s (s < -1).
+    alpha + 1 - [s] (s >= -1) or alpha + 2 + s (s < -1).  p must be a
+    real number >= 1 (inf too) and s, r_w and alpha finite real numbers,
+    none of them bool; otherwise ValueError names it.
     """
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _real("p", p, "be >= 1", lambda v: v >= 1)
     for name, value in (("s", s), ("r_w", r_w), ("alpha", alpha)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        _real(name, value, "be finite", math.isfinite)
     J = r_w / p + (1.0 - 1.0 / p)
     N = max(math.floor(J - s - 1.0), -1)
     frac_s = s - math.floor(s)
@@ -263,48 +266,6 @@ class MoleculeReport:
             if not (finite and entry[key] <= limit):
                 return False
         return True
-
-
-# the reference grid in the scaled variable y = 2^nu (x - x_Q): the exact
-# lattice k/16 on [-25, 25], the same for every (nu, tau)
-_GRID_Y = np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0)
-_GRID_Y.flags.writeable = False
-# the central differences' step in y: a power of two, so every stencil
-# point y + k H of the grid, and x_Q + (y + k H) / 2^nu for |tau| < 2^35, is exact
-_H = 2.0**-17
-
-
-# the index strides of the (M4) grid pairs
-_STRIDES = (1, 4, 16, 64)
-
-
-@lru_cache(maxsize=16)
-def _grid_tables(M: float, delta: float) -> tuple:
-    """(env, weight): the envelopes of _certify on _GRID_Y.
-
-    The envelope is env = (1 + |y|)^-M, and the (M4) weight of a pair
-    (y_i, y_(i - st)) at distance |dy| is |dy|^delta times the exact sup of
-    the envelope over [y_i - |dy|, y_i + |dy|],
-
-        weight = |dy|^delta (1 + max(0, |y_i| - |dy|))^-M:
-
-    the envelope decreases with |y|, smallest at the point of the segment
-    nearest to 0.  The (M4) pairs are the grid pairs of index strides st =
-    1, 4, 16, 64 (_STRIDES), stride after stride and i = st..800 within
-    each, all at |dy| >= 1/16, so a weight is 0 only where (1 + 25)^-M
-    underflows (M above about 228); such an M raises ValueError.  Built
-    once per (M, delta); the arrays are returned read-only.
-    """
-    ay = np.abs(_GRID_Y)
-    dy = np.concatenate([np.abs(_GRID_Y[st:] - _GRID_Y[:-st]) for st in _STRIDES])
-    near = np.concatenate([ay[st:] for st in _STRIDES])
-    weight = dy**delta * (1.0 + np.maximum(0.0, near - dy)) ** -M
-    if not np.all(weight > 0):
-        raise ValueError(f"the envelope (1 + |y|)^-{M:g} underflows on the grid")
-    tables = ((1.0 + ay) ** -M, weight)
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,19 +325,52 @@ def panel_rule(breaks: np.ndarray, npts: int = 16) -> tuple[np.ndarray, np.ndarr
     return nodes.ravel(), weights.ravel()
 
 
-@lru_cache(maxsize=1)
-def _moment_rule() -> tuple[np.ndarray, np.ndarray]:
-    """(M1) nodes and weights in y over the grid's range [-25, 25], read-only.
+# the reference grid in the scaled variable y = 2^nu (x - x_Q): the exact
+# lattice k/16 on [-25, 25], the same for every (nu, tau)
+_GRID_Y = np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0)
+_GRID_Y.flags.writeable = False
+# the central differences' step in y: a power of two, so every stencil
+# point y + k H of the grid, and x_Q + (y + k H) / 2^nu for |tau| < 2^35, is exact
+_H = 2.0**-17
+# the (M1) rule in y on [-25, 25], read-only: 12-point Gauss-Legendre panels
+# between consecutive half-integers (every eighth grid point), 1200 nodes.
+# The knots of a natural molecule (u = 2y + n for the Battle-Lemarie wavelet,
+# u = 2y for Psi) are panel ends, so every piece up to degree 23 is exact
+_M1_NODES, _M1_WEIGHTS = panel_rule(_GRID_Y[::8], 12)
+_M1_NODES.flags.writeable = _M1_WEIGHTS.flags.writeable = False
 
-    12-point Gauss-Legendre panels between consecutive half-integers of y
-    (every eighth grid point), 100 panels and 1200 nodes.  Every
-    half-integer of y is a panel end: the knots of a natural molecule (u =
-    2y + n for the Battle-Lemarie wavelet, u = 2y for Psi), so each
-    polynomial piece up to degree 23 is integrated exactly.
+
+# the index strides of the (M4) grid pairs
+_STRIDES = (1, 4, 16, 64)
+
+
+@lru_cache(maxsize=16)
+def _grid_tables(M: float, delta: float) -> tuple:
+    """(env, weight): the envelopes of _certify on _GRID_Y.
+
+    The envelope is env = (1 + |y|)^-M, and the (M4) weight of a pair
+    (y_i, y_(i - st)) at distance |dy| is |dy|^delta times the exact sup of
+    the envelope over [y_i - |dy|, y_i + |dy|],
+
+        weight = |dy|^delta (1 + max(0, |y_i| - |dy|))^-M:
+
+    the envelope decreases with |y|, smallest at the point of the segment
+    nearest to 0.  The (M4) pairs are the grid pairs of index strides st =
+    1, 4, 16, 64 (_STRIDES), stride after stride and i = st..800 within
+    each, all at |dy| >= 1/16, so a weight is 0 only where (1 + 25)^-M
+    underflows (M above about 228); such an M raises ValueError.  Built
+    once per (M, delta); the arrays are returned read-only.
     """
-    nodes, wts = panel_rule(_GRID_Y[::8], 12)
-    nodes.flags.writeable = wts.flags.writeable = False
-    return nodes, wts
+    ay = np.abs(_GRID_Y)
+    dy = np.concatenate([np.abs(_GRID_Y[st:] - _GRID_Y[:-st]) for st in _STRIDES])
+    near = np.concatenate([ay[st:] for st in _STRIDES])
+    weight = dy**delta * (1.0 + np.maximum(0.0, near - dy)) ** -M
+    if not np.all(weight > 0):
+        raise ValueError(f"the envelope (1 + |y|)^-{M:g} underflows on the grid")
+    tables = ((1.0 + ay) ** -M, weight)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
 
 
 def _dyadic_cube(Q) -> tuple[int, int]:
@@ -408,7 +402,7 @@ def _certify(f, params: MoleculeParams, starred: bool) -> dict:
     gamma = 0 and (M3) the largest over its gammas; (M4) reads D^[s] on
     the grid pairs of strides 1, 4, 16, 64.  The unstarred envelopes have
     the exponent M - min(s, 0) and the starred ones M.  (M1) is the largest
-    |int y^gamma f|, gamma = 0..N, by _moment_rule; it is void for N < 0
+    |int y^gamma f|, gamma = 0..N, on _M1_NODES; it is void for N < 0
     and absent from the starred set, as is (M3*) at gamma = 0.  Returns
     {condition: {"value", "ratio"}}; a NaN value reaches every condition
     that reads it.  [s] >= 3 raises ValueError: the difference's rounding,
@@ -426,8 +420,7 @@ def _certify(f, params: MoleculeParams, starred: bool) -> dict:
     pts = (_GRID_Y + _H * np.arange(-gmax, gmax + 1.0)[:, None]).ravel() if gmax else _GRID_Y
     moments = N >= 0 and not starred
     if moments:
-        nodes, wts = _moment_rule()
-        pts = np.concatenate([pts, nodes])
+        pts = np.concatenate([pts, _M1_NODES])
     vals = np.asarray(f(pts))
     if vals.shape != pts.shape:
         raise ValueError(f"fn must return one value per point, got shape {vals.shape} "
@@ -438,7 +431,8 @@ def _certify(f, params: MoleculeParams, starred: bool) -> dict:
     # (M1): vanishing moments up to N
     if moments:
         m1 = vals[rows.size :]
-        moms = [abs(float(np.dot(wts, nodes**g * m1 if g else m1))) for g in range(N + 1)]
+        moms = [abs(float(np.dot(_M1_WEIGHTS, _M1_NODES**g * m1 if g else m1)))
+                for g in range(N + 1)]
         conditions["M1"] = {"value": _worst(moms), "ratio": None}
 
     # D^g = sum_i (-1)^i C(g, i) row[g - 2i] / (2H)^g, row[k] the values at
@@ -539,12 +533,12 @@ def fractional_system(
     scale_fn = c0 beta^alpha and wavelet_fn = c Psi_combined of order
     comb_n with psi truncated at |k| <= trunc; calibrate_constants finds
     the largest c0, c that make the pair molecules.  A c0 or c outside
-    (0, 1], NaN included, raises ValueError naming it, as do an alpha that
-    is not fractional, a comb_n outside 1..8 and a bad trunc.
+    (0, 1], NaN, bool and non-numbers included, raises ValueError naming
+    it, as do an alpha that is not fractional, a comb_n outside 1..8 and a
+    bad trunc.
     """
     for name, value in (("c0", c0), ("c", c)):
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+        _real(name, value, "lie in (0, 1]", lambda v: 0.0 < v <= 1.0)
     spec = FractionalSpline(alpha, variant)
     if _is_nat(alpha):
         raise ValueError(f"alpha must be fractional, got {alpha!r}")

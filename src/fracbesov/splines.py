@@ -63,10 +63,22 @@ def _is_nat(a: float) -> bool:
     return a == math.floor(a) and a >= 0
 
 
+def _real(name: str, value, need: str, within) -> None:
+    """ValueError "name must need, got value" unless value is a real number
+    for which within(value) holds.
+
+    Python and numpy integers and floats count; bool, NaN and anything
+    else do not.  within is the caller's range check, and need says it in
+    words.  The test is on the concrete types, as in _integer.
+    """
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and value == value and within(value)):
+        raise ValueError(f"{name} must {need}, got {value!r}")
+
+
 def _order(alpha) -> None:
     """ValueError naming alpha unless it is a finite number > 0, not bool."""
-    if isinstance(alpha, bool) or not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+    _real("alpha", alpha, "be positive and finite", lambda a: 0 < a < math.inf)
 
 
 def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
@@ -358,12 +370,17 @@ def beta_star_integer_samples(alpha: float, mmax: int) -> np.ndarray:
     inverse FFT of the N samples of F recovers the integer values with
     aliasing error O(N^(-alpha-2)).  An alpha outside (0, inf), or an mmax
     that is not an integer >= 0 (either one a bool), raises ValueError
-    naming it.
+    naming it.  So does an alpha whose lattice sum overflows: zeta(s, 1/N)
+    exceeds N^s = 2^(s log2 N), so s log2 N must stay below 1024, alpha <
+    84.33 at N = 4096.
     """
     _order(alpha)
     mmax = _integer("mmax", mmax, 0)
     s = alpha + 1.0
     N = max(4096, 1 << int(2 * mmax + 2).bit_length())
+    if s * (N.bit_length() - 1) >= 1024:
+        raise ValueError(f"alpha must be below {1024 / (N.bit_length() - 1) - 1:g} for "
+                         f"{N} Poisson samples, got {alpha!r}")
     t = np.arange(1, N) / N
     z = hurwitz_zeta(s, t)
     F = np.empty(N)

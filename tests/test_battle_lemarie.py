@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracbesov.battle_lemarie import (
-    _wavelet_ppform,
-    _wavelet_taps,
-    bl_system,
-    scaling_localized,
-    wavelet_localized,
-)
+from fracbesov.battle_lemarie import bl_system, scaling_localized, wavelet_localized
 from fracbesov import frac_wavelets as fw
 from fracbesov.frac_wavelets import natural_system, panel_rule
 from fracbesov.splines import (
@@ -24,7 +18,7 @@ from fracbesov.splines import (
     bspline_ppform,
     ppform_eval,
 )
-from test_natural_oracle import integer_samples
+from test_natural_oracle import bl_taps, integer_samples
 from test_quadrature import graded_breaks
 
 # The root factorization of the filter layer, the independent reference of
@@ -95,7 +89,7 @@ def root_pair(n: int, x):
     unnormalized spline."""
     ref = root_system(n)
     x = np.asarray(x, dtype=float)
-    s = ppform_eval(bspline_ppform(n, _wavelet_taps(bl_system(n)), -n), 2.0 * x + n)
+    s = ppform_eval(bspline_ppform(n, bl_taps(bl_system(n)), -n), 2.0 * x + n)
     return (ref.beta_n * bspline_natural(n, x) / ref.beta_n,
             ref.gamma_n / 2.0**n * s / ref.Lambda_dprime)
 
@@ -352,12 +346,13 @@ class TestScaling:
 
 class TestWavelet:
     def test_ppform_built_once(self):
-        # the taps and their pp-form depend only on the frozen system
-        sys = bl_system(3)
-        pp = _wavelet_ppform(sys)
-        assert _wavelet_ppform(sys) is pp
-        assert not pp.table.flags.writeable
-        assert np.array_equal(pp.table, bspline_ppform(3, _wavelet_taps(sys), -3).table)
+        # the pp-form is a property of the frozen system, built on its first
+        # read and held by the system that bl_system caches
+        for n in range(1, 9):
+            pp = bl_system(n).wavelet
+            assert bl_system(n).wavelet is pp
+            assert not pp.table.flags.writeable
+            assert np.array_equal(pp.table, bspline_ppform(n, bl_taps(bl_system(n)), -n).table)
 
     def _moments(self, sys, gmax):
         breaks = graded_breaks(-sys.n, sys.n + 1.0, per_unit=4, levels=0)
@@ -395,7 +390,7 @@ class TestWavelet:
             # report reads every point where its function is nonzero.  The
             # pp-forms give the supports: B_n's is [k0, k0 + width) and the
             # wavelet's is that in u = 2x + n
-            scale, wavelet = _bspline_natural_ppform(n), _wavelet_ppform(sys)
+            scale, wavelet = _bspline_natural_ppform(n), sys.wavelet
             width = scale.table.shape[1] // 2
             assert (scale.k0, scale.k0 + width) == (0, n + 1)
             width = wavelet.table.shape[1] // 2

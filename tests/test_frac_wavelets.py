@@ -231,7 +231,7 @@ class TestFilter:
         # the cached filter and the (M1) rule are shared by every caller: an
         # in-place write must not reach the cache
         before = psi_frac(0.5, "causal", 0.3, trunc=60)
-        shared = (wavelet_filter(0.5, 60), *fw._moment_rule())
+        shared = (wavelet_filter(0.5, 60), fw._M1_NODES, fw._M1_WEIGHTS)
         for arr in shared:
             with pytest.raises(ValueError):
                 arr *= 2.0
@@ -506,6 +506,12 @@ def test_chunked_evaluation_matches_default(block, alpha, variant, monkeypatch):
     [
         (lambda: FractionalSpline(alpha=math.nan), "alpha"),
         (lambda: FractionalSpline(alpha=math.inf), "alpha"),
+        # a string or None raised TypeError from a comparison or from
+        # math.isfinite, and True was taken as 1
+        (lambda: FractionalSpline("a"), "alpha"),
+        (lambda: FractionalSpline(None), "alpha"),
+        (lambda: molecule_params_for("2", 2.0, 0.0, 1.0, 5 / 3), "p"),
+        (lambda: molecule_params_for(2.0, 2.0, None, 1.0, 5 / 3), "s"),
         (lambda: molecule_params_for(2.0, 2.0, 0.0, 1.0, math.nan), "alpha"),
         (lambda: molecule_params_for(2.0, 2.0, math.nan, 1.0, 2.0), "s"),
         (lambda: molecule_params_for(2.0, 2.0, 0.0, math.inf, 2.0), "r_w"),
@@ -522,6 +528,10 @@ def test_chunked_evaluation_matches_default(block, alpha, variant, monkeypatch):
         (lambda: _params(M=math.inf), "M"),
         (lambda: _params(J=math.nan), "J"),
         (lambda: _params(delta=math.nan), "delta"),
+        # "a" and None raised TypeError, and s = True was taken as 1
+        (lambda: _params(delta="a"), "delta"),
+        (lambda: _params(M=None), "M"),
+        (lambda: _params(s=True), "s"),
         (lambda: _params(N=0.5), "N"),
         (lambda: _params(N=True), "N"),
         (lambda: _params(N=-2), "N"),
@@ -537,9 +547,11 @@ def test_chunked_evaluation_matches_default(block, alpha, variant, monkeypatch):
         (lambda: beta_star_integer_samples(2.0, 2.5), "mmax"),
         (lambda: beta_star_integer_samples(2.0, True), "mmax"),
     ],
-    ids=["spline-nan", "spline-inf", "params-alpha", "params-s", "params-r_w",
+    ids=["spline-nan", "spline-inf", "spline-str", "spline-none", "params-p-str",
+         "params-s-none", "params-alpha", "params-s", "params-r_w",
          "bl-float", "bl-bool", "bl-9", "combined-float", "natural-0",
          "fields-s-nan", "fields-s-inf", "fields-M-inf", "fields-J-nan", "fields-delta-nan",
+         "fields-delta-str", "fields-M-none", "fields-s-bool",
          "fields-N-half", "fields-N-bool", "fields-N-neg", "fields-N-float",
          "fields-M-not-above-J", "fields-delta-0", "fields-delta-above-1", "fields-delta-frac-s",
          "mmax-neg", "mmax-float", "mmax-bool"],
@@ -563,6 +575,35 @@ def test_bad_argument_raises_naming_it(call, name):
 def test_bad_alpha_raises_naming_it(call, alpha):
     with pytest.raises(ValueError, match=r"^alpha must be"):
         call(alpha)
+
+
+def test_numpy_reals_accepted():
+    f64, i64 = np.float64, np.int64
+    assert _params(delta=f64(0.5), M=i64(2)) == _params()
+    assert molecule_params_for(i64(2), f64(2.0), f64(0.0), i64(1), f64(5 / 3)) == _params()
+    sysf = fractional_system(f64(5 / 3), "causal", 2, c0=np.float32(0.5), c=f64(0.25))
+    assert sysf.scale_fn(0.7) == 0.5 * frac_bspline(FractionalSpline(5 / 3), 0.7)
+
+
+@pytest.mark.parametrize("alpha", [42.5, 45.5, 60.5])
+def test_filter_overflow_raises(alpha):
+    # the samples of order 2 alpha + 1 need zeta(2 alpha + 2, 1/4096) >=
+    # 2^(12 (2 alpha + 2)), past the largest double: at 42.5 the filter was
+    # 161 NaNs, with overflow and invalid-value warnings
+    with pytest.raises(ValueError, match=r"^alpha must be below 84.3333 for 4096 Poisson"):
+        wavelet_filter(alpha, 80)
+
+
+def test_filter_finite_below_overflow():
+    assert np.all(np.isfinite(wavelet_filter(41.5, 80)))
+    assert np.all(np.isfinite(beta_star_integer_samples(84.33, 10)))
+    # beta_*^86 returned 12 NaNs among its 21 samples
+    with pytest.raises(ValueError, match=r"^alpha must be below 84.3333 .* got 86.0"):
+        beta_star_integer_samples(86.0, 10)
+    # more samples take a longer grid, N = 8192, and a lower bound
+    assert np.all(np.isfinite(beta_star_integer_samples(77.7, 3000)))
+    with pytest.raises(ValueError, match=r"^alpha must be below 77.7692 for 8192 Poisson"):
+        beta_star_integer_samples(77.8, 3000)
 
 
 class TestMoleculeParams:
@@ -623,15 +664,16 @@ class TestMoleculeCheck:
 
     def test_calibration_needs_no_moment_quadrature(self, monkeypatch):
         # scale factors cannot decide (M1), so the calibration builds and
-        # reads no (M1) rule: both are refused, so the guard holds whether
-        # or not _moment_rule's cache is warm.  The constants are those of
-        # Example 5.1 with (M1) certified, bit for bit those of the unscaled
-        # pair certified in y
+        # reads no (M1) rule: panel_rule is refused, and the rule's nodes and
+        # weights, built at import, are None, so that any read of them
+        # raises.  The constants are those of Example 5.1 with (M1)
+        # certified, bit for bit those of the unscaled pair certified in y
         def no_quadrature(*args, **kwargs):
             raise AssertionError("calibration evaluated a moment quadrature")
 
         monkeypatch.setattr("fracbesov.frac_wavelets.panel_rule", no_quadrature)
-        monkeypatch.setattr("fracbesov.frac_wavelets._moment_rule", no_quadrature)
+        monkeypatch.setattr("fracbesov.frac_wavelets._M1_NODES", None)
+        monkeypatch.setattr("fracbesov.frac_wavelets._M1_WEIGHTS", None)
         expected = {
             (0.0, 5 / 3): (0.20756847809520673, 0.0032335175650289494),
             (-1 / 3, 4 / 3): (0.23035715940027968, 0.003184090786653335),
@@ -1055,10 +1097,11 @@ class TestWaveletSystem:
                 sysf.wavelet_fn(x), c * Psi_combined(5 / 3, 2, variant, x, trunc=60)
             )
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.nan, math.inf, "a", True])
     @pytest.mark.parametrize("name", ["c0", "c"])
     def test_constants_lie_in_unit_interval(self, name, bad):
-        # c0 = -1 returned -0.2093 at x = 0.5 and c0 = 2 returned 0.4187
+        # c0 = -1 returned -0.2093 at x = 0.5 and c0 = 2 returned 0.4187;
+        # "a" raised TypeError and True was taken as 1
         with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\]"):
             fractional_system(5 / 3, "causal", 2, **{name: bad})
         for good in (1.0, 1e-3):

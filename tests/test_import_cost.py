@@ -96,8 +96,8 @@ def test_natural_systems_call_no_solver():
 
 
 def test_cached_tables_shared_and_read_only():
-    # the reference grid's tables and the (M1) rule are built once and
-    # shared by every (nu, tau) after
+    # the reference grid's tables are built once and shared by every (nu,
+    # tau) after, as are the grid and the (M1) rule, built at import
     params = fw.molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
     nat = fw.natural_system(3)
 
@@ -105,7 +105,7 @@ def test_cached_tables_shared_and_read_only():
         fw.molecule_check(molecule(nat.wavelet_fn, (nu, tau)), (nu, tau), params)
 
     def misses():
-        return fw._grid_tables.cache_info().misses, fw._moment_rule.cache_info().misses
+        return fw._grid_tables.cache_info().misses
 
     check(1, 0)
     before = misses()
@@ -114,7 +114,7 @@ def test_cached_tables_shared_and_read_only():
     assert misses() == before
     env, weight = fw._grid_tables(params.M, params.delta)
     assert np.all(weight > 0)
-    for arr in (fw._GRID_Y, env, weight, *fw._moment_rule()):
+    for arr in (fw._GRID_Y, env, weight, fw._M1_NODES, fw._M1_WEIGHTS):
         with pytest.raises(ValueError):
             arr[...] = np.zeros_like(arr)
 
@@ -135,7 +135,9 @@ def certify(taus):
                 molecule_check(molecule(nat.wavelet_fn, Q), Q, params)
 
 def misses():
-    return [sp._bspline_natural_ppform.cache_info().misses, bl._wavelet_ppform.cache_info().misses]
+    # a system's wavelet pp-form is built on its first read, so one per
+    # bl_system miss
+    return [sp._bspline_natural_ppform.cache_info().misses, bl.bl_system.cache_info().misses]
 
 def refuse(*args, **kwargs):
     raise AssertionError("a pp-form was built again")
@@ -146,7 +148,7 @@ sp.bspline_ppform = bl.bspline_ppform = refuse
 certify((5, -2, 8))
 certify((-8, 0, 1))
 forms = [f(n) for n in range(1, 5)
-         for f in (sp._bspline_natural_ppform, lambda n: bl._wavelet_ppform(bl.bl_system(n)))]
+         for f in (sp._bspline_natural_ppform, lambda n: bl.bl_system(n).wavelet)]
 # one (M1) check of order 3 at s = 0, nu = 1, its caches warm
 nat, params = natural_system(3), molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
 m_q = molecule(nat.wavelet_fn, (1, 3))

@@ -6,7 +6,10 @@ nothing else on the path multiplies matrices.  The check is on the source:
 no function on the path may contain an @ or call matmul, einsum or
 tensordot.  The path is the pp-form builder and evaluator, B_n, the
 Battle-Lemarie layer, natural_system, molecule_check, and _certify with its
-tables and rules.
+tables and rules.  Import runs the three modules' top-level code, the
+(M1) rule among it, so no module-level statement may hold one either: the
+decorators and defaults of every function, and everything of a class body
+but its methods' bodies, count as module-level.
 """
 
 import ast
@@ -23,11 +26,11 @@ PATH = {
     ),
     "battle_lemarie": (
         "BLSystem", "bl_system", "scaling_localized", "translate_weights",
-        "_wavelet_taps", "_wavelet_ppform", "wavelet_localized",
+        "wavelet_localized",
     ),
     "frac_wavelets": (
         "MoleculeParams", "molecule_params_for", "MoleculeReport", "_grid_tables",
-        "_gauss_legendre", "panel_rule", "_moment_rule", "_dyadic_cube", "_worst",
+        "_gauss_legendre", "panel_rule", "_dyadic_cube", "_worst",
         "_certify", "molecule_check", "natural_system",
     ),
 }
@@ -49,6 +52,20 @@ def blas3_uses(node: ast.AST) -> list[str]:
     return [f"{name} at line {line}" for line, name in sorted(found)]
 
 
+def import_time(node: ast.stmt) -> list[ast.AST]:
+    """The parts of a top-level statement that run when the module is
+    imported: a function's decorators and defaults, a class's decorators,
+    bases and keywords and its body's own import-time parts, and every
+    other statement whole."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [*node.decorator_list, *node.args.defaults,
+                *(d for d in node.args.kw_defaults if d is not None)]
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords,
+                *(part for stmt in node.body for part in import_time(stmt))]
+    return [node]
+
+
 @pytest.mark.parametrize("module", sorted(PATH))
 def test_natural_path_has_no_blas3_call(module):
     tree = ast.parse((SRC / f"{module}.py").read_text())
@@ -61,8 +78,28 @@ def test_natural_path_has_no_blas3_call(module):
     assert not set(PATH[module]) - set(defs), set(PATH[module]) - set(defs)
     for name in PATH[module]:
         assert not blas3_uses(defs[name]), (module, name, blas3_uses(defs[name]))
+    for node in tree.body:
+        for part in import_time(node):
+            assert not blas3_uses(part), (module, "import", blas3_uses(part))
 
 
 def test_guard_sees_a_matrix_product():
     tree = ast.parse("def f(a, b):\n    c = a @ b\n    c @= b\n    return np.einsum('ij', c)\n")
     assert blas3_uses(tree) == ["@ at line 2", "@ at line 3", "einsum at line 4"]
+
+
+def test_guard_sees_import_time_code():
+    # lines 1-4 and 6 run at import, the bodies of lines 5 and 7 do not
+    tree = ast.parse(
+        "T = a @ b\n"
+        "@cache(a @ b)\n"
+        "def f(x=a @ b, *, y=np.matmul(a, b)):\n"
+        "    return x @ y\n"
+        "class C(Base, size=np.tensordot(a, b)):\n"
+        "    t = a @ b\n"
+        "    def g(self):\n"
+        "        return self.t @ self.t\n"
+    )
+    found = [use for node in tree.body for part in import_time(node) for use in blas3_uses(part)]
+    assert found == ["@ at line 1", "@ at line 2", "@ at line 3", "matmul at line 3",
+                     "tensordot at line 5", "@ at line 6"]

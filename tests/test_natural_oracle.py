@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbesov import frac_wavelets as fw
-from fracbesov.battle_lemarie import _wavelet_taps, bl_system, wavelet_localized
+from fracbesov.battle_lemarie import bl_system, translate_weights, wavelet_localized
 from fracbesov.frac_wavelets import molecule_check, molecule_params_for, natural_system
 from fracbesov.splines import (
     FractionalSpline,
@@ -41,6 +41,14 @@ def molecule(f, Q):
     """The molecule m_Q of f at Q = (nu, tau): x -> 2^(nu/2) f(2^nu x - tau)."""
     nu, tau = Q
     return lambda x: 2.0 ** (nu / 2.0) * f(2.0**nu * x - tau)
+
+
+def bl_taps(sys) -> np.ndarray:
+    """The taps d_k, k = -n..2n+1, of the Battle-Lemarie wavelet's spline
+    sum_k d_k B_n(u - k): translate_weights reversed, convolved with the
+    signed binomial row of D = Delta^(n+1) B_n."""
+    row = [(-1.0) ** i * math.comb(sys.n + 1, i) for i in range(sys.n + 2)]
+    return np.convolve(translate_weights(sys)[::-1], row)
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +337,7 @@ def test_bit_identical_to_reference(n):
     y = certifier_inputs()
     assert np.array_equal(bspline_natural(n, y), reference_filtered(n, y, [1.0], 0))
     sys = bl_system(n)
-    ref = sys.kappa * reference_filtered(n, 2.0 * y + n, _wavelet_taps(sys), -n)
+    ref = sys.kappa * reference_filtered(n, 2.0 * y + n, bl_taps(sys), -n)
     assert np.array_equal(wavelet_localized(sys, y), ref)
     for r in range(1, n):
         row = [(-1.0) ** i * math.comb(r, i) for i in range(r + 1)]
@@ -358,7 +366,7 @@ def test_certifier_matches_exact_derivative(n, bound):
     ix = np.concatenate([np.arange(st, size) for st in strides])
     iy = np.concatenate([np.arange(size - st) for st in strides])
     sys, nat = bl_system(n), natural_system(n)
-    taps = np.convolve(_wavelet_taps(sys), [1.0, -1.0])
+    taps = np.convolve(bl_taps(sys), [1.0, -1.0])
     for nu, tau in ((0, 0), (1, 0), (2, 3)):
         y = fw._GRID_Y  # 2^nu x - tau on the certifier's grid, exactly
         if nu == 0:

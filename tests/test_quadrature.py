@@ -97,15 +97,16 @@ def test_empty_interval():
         graded_breaks(1.0, 1.0)
 
 
-def test_moment_rule_lattice():
+def test_m1_rule_lattice():
     # per_unit = 2 without cascade levels is the half-integer lattice, every
-    # eighth point of the reference grid: (M1)'s rule is bit for bit the one
-    # built on graded breaks
+    # eighth point of the reference grid: (M1)'s rule, built at import, is
+    # bit for bit the one built on graded breaks, and read-only
     breaks = graded_breaks(-25.0, 25.0, per_unit=2)
     assert np.array_equal(breaks, fw._GRID_Y[::8])
     assert breaks.size == 101
-    for got, want in zip(fw._moment_rule(), fw.panel_rule(breaks, 12)):
+    for got, want in zip((fw._M1_NODES, fw._M1_WEIGHTS), fw.panel_rule(breaks, 12)):
         assert np.array_equal(got, want)
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("breaks", [
