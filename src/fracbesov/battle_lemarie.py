@@ -41,12 +41,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .specfun import _integer
+
 # bspline_derivative is re-exported with the layer's other spline
 # evaluators; fracbench's tracer wraps battle_lemarie.bspline_derivative
 from .splines import (  # noqa: F401
     PPForm,
     _bspline_piece_int,
-    _integer,
     bspline_derivative,
     bspline_natural,
     bspline_ppform,

@@ -39,14 +39,11 @@ import numpy as np
 
 from .battle_lemarie import bl_system, scaling_localized, translate_weights
 from .battle_lemarie import wavelet_localized
-from .specfun import gbinom_row
+from .specfun import _integer, _order, _real, gbinom_row
 from .splines import (
     FractionalSpline,
     TruncationError,
-    _integer,
     _is_nat,
-    _order,
-    _real,
     beta_plus_filtered,
     beta_star_integer_samples,
     frac_bspline,

@@ -5,16 +5,55 @@ with real upper argument is the workhorse of every fractional-spline series
 in this package; gbinom_row gives k = 0..kmax by the running product, which
 for natural u degenerates to the ordinary binomial (zero beyond k = u).
 hurwitz_zeta gives the closed-form lattice sums of the symmetric spline's
-Poisson samples.
+Poisson samples.  The package's argument rules live here, in its bottom
+layer, so that every layer checks its arguments the same way: _real for a
+real number in a range, _order for a spline order alpha and _integer for
+an integer in a range, each raising ValueError naming the argument.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 # Euler-Maclaurin for Hurwitz zeta: direct terms, then B_2, B_4, ..., B_14
 _ZETA_DIRECT = 12
 _ZETA_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _real(name: str, value, need: str, within) -> None:
+    """ValueError "name must need, got value" unless value is a real number
+    for which within(value) holds.
+
+    Python and numpy integers and floats count; bool, NaN and anything
+    else do not.  within is the caller's range check, and need says it in
+    words.  The test is on the concrete types, as in _integer.
+    """
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and value == value and within(value)):
+        raise ValueError(f"{name} must {need}, got {value!r}")
+
+
+def _order(alpha) -> None:
+    """ValueError naming alpha unless it is a finite number > 0, not bool."""
+    _real("alpha", alpha, "be positive and finite", lambda a: 0 < a < math.inf)
+
+
+def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """int(value) if value is an integer in [lo, hi], a bound of None open.
+
+    Python and numpy integers count, bool does not; anything else raises
+    ValueError naming the argument and its bounds.  The test is on the
+    concrete types: a numbers.Integral check costs 2.5 us, which
+    molecule_check would pay on every report.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        v = int(value)
+        if (lo is None or v >= lo) and (hi is None or v <= hi):
+            return v
+    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 def hurwitz_zeta(s: float, a):
@@ -27,9 +66,8 @@ def hurwitz_zeta(s: float, a):
     and a in [1e-9, 1], 1.1e-15 up to a = 50.  Vectorized over a;
     temporaries are one (12,) + a.shape array.
     """
+    _real("s", s, "satisfy 1 < s < inf", lambda v: 1.0 < v < math.inf)
     a = np.asarray(a, dtype=float)
-    if not 1.0 < s < np.inf:
-        raise ValueError(f"hurwitz_zeta requires 1 < s < inf, got s = {s}")
     if not np.all((a > 0.0) & (a < np.inf)):
         raise ValueError("hurwitz_zeta requires 0 < a < inf for every a")
     x = a + _ZETA_DIRECT

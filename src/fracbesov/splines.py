@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import gbinom_row, hurwitz_zeta
+from .specfun import _integer, _order, gbinom_row, hurwitz_zeta
 
 VARIANTS = ("causal", "anticausal")
 
@@ -61,40 +61,6 @@ class FractionalSpline:
 
 def _is_nat(a: float) -> bool:
     return a == math.floor(a) and a >= 0
-
-
-def _real(name: str, value, need: str, within) -> None:
-    """ValueError "name must need, got value" unless value is a real number
-    for which within(value) holds.
-
-    Python and numpy integers and floats count; bool, NaN and anything
-    else do not.  within is the caller's range check, and need says it in
-    words.  The test is on the concrete types, as in _integer.
-    """
-    if not (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and value == value and within(value)):
-        raise ValueError(f"{name} must {need}, got {value!r}")
-
-
-def _order(alpha) -> None:
-    """ValueError naming alpha unless it is a finite number > 0, not bool."""
-    _real("alpha", alpha, "be positive and finite", lambda a: 0 < a < math.inf)
-
-
-def _integer(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
-    """int(value) if value is an integer in [lo, hi], a bound of None open.
-
-    Python and numpy integers count, bool does not; anything else raises
-    ValueError naming the argument and its bounds.  The test is on the
-    concrete types: a numbers.Integral check costs 2.5 us, which
-    molecule_check would pay on every report.
-    """
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        v = int(value)
-        if (lo is None or v >= lo) and (hi is None or v <= hi):
-            return v
-    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
-    raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,86 +11,13 @@ from scipy.integrate import quad
 from fracbesov.battle_lemarie import bl_system, scaling_localized, wavelet_localized
 from fracbesov import frac_wavelets as fw
 from fracbesov.frac_wavelets import natural_system, panel_rule
-from fracbesov.splines import (
-    _bspline_natural_ppform,
-    bspline_natural,
-    bspline_ppform,
-    ppform_eval,
-)
-from test_natural_oracle import bl_taps, integer_samples
-from test_quadrature import graded_breaks
+from fracbesov.splines import _bspline_natural_ppform, bspline_ppform
+from oracles import (RootSystem, bl_taps, euler_frobenius_roots, graded_breaks, integer_samples,
+                     root_pair, root_system)
 
-# The root factorization of the filter layer, the independent reference of
-# bl_system's closed form: z^n P_n(z) = prod_j (z + r_j)(z + 1/r_j) / (2n+1)!
-# with r_j in (0, 1), beta_n = Lambda' = prod_j (1 + r_j), gamma_n =
-# (-1)^(n+1) beta_n prod_j r_j 2^-n and Lambda'' = prod_j (1 + r_j)(1 - r_j^2).
-# Its Fourier-identity oracles: the factorization beta_n^2 P_n(w) =
-# |A_n(w)|^2 and the orthonormality of the integer translates of phi =
-# beta_n B_n / A_n, sum_m |phi_hat(w + 2 pi m)|^2 = 1
-
-
-def euler_frobenius_roots(n: int) -> list[float]:
-    """The n orthonormalization roots r_j(n) in (0, 1), ascending.
-
-    Found as magnitudes of the negative eigen-roots of the Laurent symbol
-    z^n P_n(z) (companion-matrix eigenvalues via numpy, one Newton polish).
-    """
-    sam = integer_samples(2 * n + 1)
-    # polynomial coefficients a_0..a_{2n}, a_m = B_{2n+1}(m+1), exact rationals
-    coeffs = [float(sam[m + 1]) for m in range(2 * n + 1)]
-    roots = np.roots(coeffs[::-1])
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    inside = sorted(-real[(real < 0) & (real > -1)])
-    assert len(inside) == n, f"expected {n} roots in (0,1), found {len(inside)}"
-
-    def horner(z: float) -> tuple[float, float]:
-        p, dp = 0.0, 0.0
-        for c in reversed(coeffs):
-            dp = dp * z + p
-            p = p * z + c
-        return p, dp
-
-    polished = []
-    for r in inside:
-        z = -r
-        for _ in range(2):
-            p, dp = horner(z)
-            if dp != 0.0:
-                z -= p / dp
-        polished.append(-z)
-        assert abs(horner(z)[0]) <= 1e-10
-    return polished
-
-
-@dataclass(frozen=True)
-class RootSystem:
-    """Order n, its roots r_j and the three products built from them."""
-
-    n: int
-    roots: tuple[float, ...]
-    beta_n: float
-    gamma_n: float
-    Lambda_dprime: float
-
-
-@lru_cache(maxsize=None)
-def root_system(n: int) -> RootSystem:
-    roots = euler_frobenius_roots(n)
-    beta_n = float(np.prod([1.0 + r for r in roots]))
-    gamma_n = float(np.prod(roots)) * beta_n * 2.0**-n * (-1.0) ** ((n + 1) % 2)
-    lam2 = float(np.prod([(1.0 + r) * (1.0 - r * r) for r in roots]))
-    return RootSystem(n, tuple(roots), beta_n, gamma_n, lam2)
-
-
-def root_pair(n: int, x):
-    """The localized pair over Lambda' and Lambda'' in the root form:
-    beta_n B_n / beta_n and gamma_n 2^-n S / Lambda'', S the wavelet's
-    unnormalized spline."""
-    ref = root_system(n)
-    x = np.asarray(x, dtype=float)
-    s = ppform_eval(bspline_ppform(n, bl_taps(bl_system(n)), -n), 2.0 * x + n)
-    return (ref.beta_n * bspline_natural(n, x) / ref.beta_n,
-            ref.gamma_n / 2.0**n * s / ref.Lambda_dprime)
+# bl_system's closed form against the root factorization oracles.root_system,
+# and that against its Fourier identities: beta_n^2 P_n(w) = |A_n(w)|^2 and
+# sum_m |phi_hat(w + 2 pi m)|^2 = 1, phi = beta_n B_n / A_n orthonormal
 
 
 def tangent_numbers(count: int) -> list[int]:

@@ -11,6 +11,7 @@ import pytest
 
 from fracbesov import frac_wavelets as fw
 from fracbesov.splines import bspline_derivative, bspline_natural
+from oracles import GRID_Y
 
 
 @pytest.mark.parametrize("n", range(3, 9))
@@ -20,8 +21,7 @@ def test_s2_matches_exact_derivatives(n):
     # where D^3 B_3 jumps at the grid's knots and the difference errs by O(H))
     params = fw.molecule_params_for(2.0, 2.0, 2.0, 1.0, float(n))
     env, _ = fw._grid_tables(params.M, params.delta)
-    y = fw._GRID_Y
-    ref = max(float(np.max(np.abs(bspline_derivative(n, g, y)) / env)) for g in (1, 2))
+    ref = max(float(np.max(np.abs(bspline_derivative(n, g, GRID_Y)) / env)) for g in (1, 2))
     rep = fw.molecule_check(lambda x: bspline_natural(n, x), (0, 0), params)
     assert abs(rep.conditions["M3*"]["ratio"] - ref) <= 1e-5 * ref
 

@@ -12,9 +12,10 @@ class.
 """
 
 import ast
-import importlib.util
 import pathlib
 from collections import Counter
+
+from oracles import traced_targets
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "fracbesov").glob("*.py"))
@@ -52,13 +53,6 @@ def _member_uses(node):
     )
 
 
-def _traced_names():
-    spec = importlib.util.spec_from_file_location("fracbench_spans", ROOT / "fracbench" / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return {attr for _, attr, _, _ in module.targets()}
-
-
 def _trees(paths):
     return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
 
@@ -74,7 +68,7 @@ def public_names():
 
 
 def used_names():
-    used = _traced_names()
+    used = {attr for _, attr, _, _ in traced_targets()}
     for tree in _trees(SRC + BENCH):
         for node in tree.body:
             used |= _used_names(node) - set(_defined_names(node))

@@ -10,11 +10,11 @@ its ratios hold for every nu >= 1; at these s no difference row is read.
 Here the wavelet Psi(y) = sum_i t_i beta_+^alpha(2y - k0 - i) is summed in
 mpmath at 30 digits.  The taps t fold the translate weights into the
 two-scale filter q as Psi_combined does, but q comes from the filter's
-two-scale symbol (_symbol_filter), not from wavelet_filter, and beta_+^alpha
-from its defining series, one table per offset of the lattice 2y.  The
-scale function beta_+^alpha, certified at nu = 0, is summed the same way.
-The envelopes, the (M4) weights and the ratios are computed in mpmath from
-their definitions.  Both sets take about 0.3 s together.
+two-scale symbol (oracles._symbol_filter), not from wavelet_filter, and
+beta_+^alpha from its defining series, one table per offset of the lattice
+2y.  The scale function beta_+^alpha, certified at nu = 0, is summed the
+same way.  The envelopes, the (M4) weights and the ratios are computed in
+mpmath from their definitions.  Both sets take about 0.3 s together.
 """
 
 from dataclasses import replace
@@ -26,15 +26,12 @@ import pytest
 
 from fracbesov import frac_wavelets as fw
 from fracbesov.battle_lemarie import bl_system, translate_weights
-from test_frac_wavelets import _symbol_filter
+from oracles import DEN, GRID_Y, HALF, PAIR_I, PAIR_J, _symbol_filter, beta_plus_series
 
 # (s, alpha) of the forward and the inverse set
 SETS = {"forward": (0.0, 5 / 3), "inverse": (-1 / 3, 4 / 3)}
 COMB_N, TRUNC = 2, 60
 DPS = 30
-# the grid y = k/16, |y| <= 25, and the index strides of the (M4) pairs
-DEN, HALF = 16, 400
-STRIDES = (1, 4, 16, 64)
 # the program and the oracle agree within this, relative to max|f| for the
 # values (6.4e-13 measured, forward wavelet) and relative for the ratios
 # (1.7e-15 measured, forward (M4)) and the constants
@@ -42,16 +39,9 @@ TOL = 1e-12
 
 
 def beta_rows(alpha: float, den: int, mmax: int) -> list:
-    """rows[r][m] = beta_+^alpha(r / den + m), r = 0..den - 1, m = 0..mmax:
-    1/Gamma(alpha + 1) sum_{k <= m} (-1)^k binom(alpha + 1, k) (r/den + m - k)^alpha."""
-    a = mpmath.mpf(alpha)
-    c = [(-1) ** k * mpmath.binomial(a + 1, k) / mpmath.gamma(a + 1) for k in range(mmax + 1)]
-    rows = []
-    for r in range(den):
-        f = mpmath.mpf(r) / den
-        powers = [(f + j) ** a for j in range(mmax + 1)]
-        rows.append([mpmath.fdot(c[: m + 1], powers[m::-1]) for m in range(mmax + 1)])
-    return rows
+    """rows[r][m] = beta_+^alpha(r / den + m), r = 0..den - 1, m = 0..mmax."""
+    return [[v for v, _ in beta_plus_series(alpha, mpmath.mpf(r) / den, range(mmax + 1))]
+            for r in range(den)]
 
 
 @lru_cache(maxsize=None)
@@ -87,11 +77,10 @@ def oracle_ratios(values: list, params, starred: bool) -> dict:
         ratios = {"M2": max(abs(v) * (1 + abs(t)) ** M for v, t in zip(values, y))}
         if params.s >= 0:
             m4 = mpmath.mpf(0)
-            for st in STRIDES:
-                d = mpmath.mpf(st) / DEN
-                for i in range(st, len(y)):
-                    weight = d**params.delta * (1 + max(0, abs(y[i]) - d)) ** -M
-                    m4 = max(m4, abs(values[i] - values[i - st]) / weight)
+            for i, j in zip(PAIR_I.tolist(), PAIR_J.tolist()):
+                d = y[i] - y[j]
+                weight = d**params.delta * (1 + max(0, abs(y[i]) - d)) ** -M
+                m4 = max(m4, abs(values[i] - values[j]) / weight)
             ratios["M4"] = m4
         return ratios
 
@@ -103,7 +92,7 @@ def program_system(name: str):
 
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_grid_values(name):
-    y = np.arange(-HALF, HALF + 1) / DEN
+    y = GRID_Y
     sysu = program_system(name)
     for fn, key in ((sysu.wavelet_fn, "wavelet"), (sysu.scale_fn, "scale")):
         ref = np.array([float(v) for v in oracle(name)[key]])

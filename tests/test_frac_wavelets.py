@@ -29,10 +29,9 @@ from fracbesov.splines import (
     bspline_natural,
     frac_bspline,
 )
-from fracbesov.specfun import gbinom_row, hurwitz_zeta
-from test_battle_lemarie import root_pair, root_system
-from test_natural_oracle import molecule
-from test_quadrature import graded_breaks
+from fracbesov.specfun import gbinom_row
+from oracles import (GRID_Y, PAIR_I, PAIR_J, _symbol_filter, graded_breaks, molecule, recording,
+                     root_pair, root_system)
 
 
 def _x_space_conditions(fn, Q, params):
@@ -50,7 +49,7 @@ def _x_space_conditions(fn, Q, params):
     scale = 2.0**nu
     s, M, N, delta = params.s, params.M, params.N, params.delta
     s_floor = math.floor(s)
-    grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / scale
+    grid = x_q + GRID_Y / scale
 
     def f(xs):
         return 2.0 ** (-nu / 2.0) * fn(xs)
@@ -90,12 +89,9 @@ def _x_space_conditions(fn, Q, params):
         if nu >= 1 or s_floor >= 1:
             out["M3" + star] = {"value": None, "ratio": worst3}
         g = s_floor
-        strides = (1, 4, 16, 64)
-        ix = np.concatenate([np.arange(st, grid.size) for st in strides])
-        iy = np.concatenate([np.arange(grid.size - st) for st in strides])
-        diff = np.abs(table[g][ix] - table[g][iy])
-        h = np.abs(grid[ix] - grid[iy])
-        sup_env = (1.0 + scale * np.maximum(0.0, dist[ix] - h)) ** (-M)
+        diff = np.abs(table[g][PAIR_I] - table[g][PAIR_J])
+        h = np.abs(grid[PAIR_I] - grid[PAIR_J])
+        sup_env = (1.0 + scale * np.maximum(0.0, dist[PAIR_I] - h)) ** (-M)
         bound = 2.0 ** (nu * g + nu * delta) * h**delta * sup_env
         ok = bound > 0
         out["M4" + star] = {
@@ -121,30 +117,6 @@ def _assert_same_conditions(got, want):
 def _assert_matches_oracle(fn, Q, params):
     got = molecule_check(fn, Q, params).conditions
     _assert_same_conditions(got, _x_space_conditions(fn, Q, params))
-
-
-def _symbol_filter(alpha, kmax, N=2**16):
-    """q_k, |k| <= kmax, by one inverse FFT of the two-scale symbol.
-
-    Q(w) = sum_k q_k e^(-ikw) = -2^(-alpha) e^(-iw) (1 - e^(iw))^(alpha+1)
-    F(w + pi) on w = 2 pi m / N (Unser-Blu).  F, the DTFT of the integer
-    samples of beta_*^(2 alpha + 1), is (|sin pi t| / pi)^s [zeta(s, t) +
-    zeta(s, 1 - t)] with t = w / (2 pi) and s = 2 alpha + 2, and F(w + pi)
-    is F rolled by N/2.  On (0, 2 pi), 1 - e^(iw) = 2 sin(w/2) e^(i(w -
-    pi)/2) has argument in (-pi/2, pi/2), so numpy's principal power is
-    the symbol's branch.  No binomial row, l-sum or sample index of
-    wavelet_filter enters.
-    """
-    s = 2.0 * alpha + 2.0
-    t = np.arange(1, N) / N
-    z = hurwitz_zeta(s, t)
-    F = np.empty(N)
-    F[0] = 1.0
-    F[1:] = (np.sin(np.pi * t) / np.pi) ** s * (z + z[::-1])
-    w = 2.0 * np.pi * np.arange(N) / N
-    Q = -(2.0**-alpha) * np.exp(-1j * w) * (1.0 - np.exp(1j * w)) ** (alpha + 1.0)
-    q = np.fft.ifft(Q * np.roll(F, N // 2)).real
-    return q[np.arange(-kmax, kmax + 1) % N]
 
 
 def _windowed_moment0(fn, alpha, L=60.0, W=45.0):
@@ -731,31 +703,19 @@ class TestMoleculeCheck:
         # -1 here, so there is no (M1)
         params = molecule_params_for(2.0, 2.0, float(s), 1.0, float(n))
         assert params.N == -1
-        m_q = molecule(natural_system(n).wavelet_fn, (1, 2))
-        seen = []
-
-        def fn(x):
-            seen.append(np.size(x))
-            return m_q(x)
-
+        fn, calls = recording(molecule(natural_system(n).wavelet_fn, (1, 2)))
         rep = molecule_check(fn, (1, 2), params)
         assert {"M2", "M3", "M4"} <= set(rep.conditions)
-        assert seen == [(2 * s + 1) * 801]
+        assert [x.size for x in calls] == [(2 * s + 1) * 801]
 
     def test_single_evaluation_with_moments(self):
         # N = 0 at nu = 1: the grid and the 1200 (M1) nodes in one call
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 3.0)
         assert params.N == 0
-        m_q = molecule(natural_system(3).wavelet_fn, (1, 3))
-        seen = []
-
-        def fn(x):
-            seen.append(np.size(x))
-            return m_q(x)
-
+        fn, calls = recording(molecule(natural_system(3).wavelet_fn, (1, 3)))
         rep = molecule_check(fn, (1, 3), params)
         assert {"M1", "M2", "M3", "M4"} == set(rep.conditions)
-        assert seen == [801 + 1200]
+        assert [x.size for x in calls] == [801 + 1200]
 
     @pytest.mark.parametrize("nu", range(5))
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
@@ -765,14 +725,9 @@ class TestMoleculeCheck:
         # leaves out the (M1) nodes, which are Gauss points
         params = MoleculeParams(delta=1.0, M=3.0, N=-1, J=2.0, s=s)
         for tau in (-200, -37, 0, 5, 199, 200):
-            seen = []
-
-            def fn(x):
-                seen.append(np.array(x))
-                return np.zeros_like(x)
-
+            fn, calls = recording(np.zeros_like)
             molecule_check(fn, (nu, tau), params)
-            u = (2.0**nu * seen[0] - tau) * 2.0**17
+            u = (2.0**nu * calls[0] - tau) * 2.0**17
             assert u.size == (2 * s + 1) * 801
             assert np.array_equal(u, np.round(u)), tau
 
@@ -914,17 +869,16 @@ class TestMoleculeCheck:
     def _m4_ratio_on_z(fn, grid, x_q, nu, params, zs):
         """(M4) ratio with the sup over z taken on the given z values."""
         scale, delta, M = 2.0**nu, params.delta, params.M
+        xs, ys = grid[PAIR_I], grid[PAIR_J]
+        diff = np.abs(fn(xs) - fn(ys))
+        h = np.abs(xs - ys)
         ratio = 0.0
-        for st in (1, 4, 16, 64):
-            xs, ys = grid[st:], grid[:-st]
-            diff = np.abs(fn(xs) - fn(ys))
-            h = np.abs(xs - ys)
-            for i in range(0, xs.size, 64):
-                sl = slice(i, i + 64)
-                dist = np.abs(xs[sl, None] - np.outer(h[sl], zs) - x_q)
-                sup_env = np.max((1.0 + scale * dist) ** (-M), axis=1)
-                bound = 2.0 ** (nu / 2.0 + nu * delta) * h[sl] ** delta * sup_env
-                ratio = max(ratio, float(np.max(diff[sl] / bound)))
+        for i in range(0, xs.size, 64):
+            sl = slice(i, i + 64)
+            dist = np.abs(xs[sl, None] - np.outer(h[sl], zs) - x_q)
+            sup_env = np.max((1.0 + scale * dist) ** (-M), axis=1)
+            bound = 2.0 ** (nu / 2.0 + nu * delta) * h[sl] ** delta * sup_env
+            ratio = max(ratio, float(np.max(diff[sl] / bound)))
         return ratio
 
     @pytest.mark.parametrize("kind", ["step", "natural"])
@@ -935,7 +889,7 @@ class TestMoleculeCheck:
         params = molecule_params_for(2.0, 2.0, 0.0, 1.0, 2.0)
         nu, tau = 1, 3
         x_q = tau / 2.0**nu
-        grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / 2.0**nu
+        grid = x_q + GRID_Y / 2.0**nu
         if kind == "step":
             # only pairs straddling x_q differ, where the exact sup is 1
             def fn(x):

@@ -26,11 +26,20 @@ import numpy as np
 import pytest
 
 from fracbesov import frac_wavelets as fw
-from test_natural_oracle import molecule
+from oracles import molecule
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-# the molecule m_Q of f at Q = (nu, tau), for the scripts below
+
+def run_fresh(script: str):
+    """The JSON that script prints last, run in a fresh interpreter on src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+# the molecule m_Q of f at Q = (nu, tau), for the scripts below: they may not
+# import oracles, which imports fractions
 MOLECULE = """
 def molecule(f, Q):
     nu, tau = Q
@@ -53,12 +62,7 @@ print(json.dumps(sorted(m for m in sys.modules
 
 
 def test_certification_imports_neither_numpy_ma_nor_scipy():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
-    )
-    assert json.loads(out.stdout.splitlines()[-1]) == []
+    assert run_fresh(SCRIPT) == []
 
 
 SOLVER_FREE = MOLECULE + """
@@ -84,12 +88,7 @@ print(json.dumps({name: [entry["value"], entry["ratio"]]
 
 
 def test_natural_systems_call_no_solver():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", SOLVER_FREE], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
-    )
-    conditions = json.loads(out.stdout.splitlines()[-1])
+    conditions = run_fresh(SOLVER_FREE)
     assert sorted(conditions) == ["M1", "M2", "M2*", "M3", "M4", "M4*"]
     assert conditions["M1"][0] <= fw.MOMENT_TOL
     assert all(math.isfinite(v) for entry in conditions.values() for v in entry if v is not None)
@@ -170,12 +169,7 @@ M1_CHECK_PEAK = 192 * 1024
 
 
 def test_natural_ppforms_built_once_and_check_stays_small():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", PPFORMS_ONCE], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
-    )
-    got = json.loads(out.stdout.splitlines()[-1])
+    got = run_fresh(PPFORMS_ONCE)
     # one B_n and one wavelet per order, none built again after
     assert got["first"] == [4, 4] and got["after"] == [4, 4]
     assert all(got["read_only"])

@@ -4,12 +4,12 @@ A matrix product is numpy's gemm, whose first call in a process costs about
 0.3-0.4 MB of BLAS buffers; bspline_ppform sums over the taps instead, and
 nothing else on the path multiplies matrices.  The check is on the source:
 no function on the path may contain an @ or call matmul, einsum or
-tensordot.  The path is the pp-form builder and evaluator, B_n, the
-Battle-Lemarie layer, natural_system, molecule_check, and _certify with its
-tables and rules.  Import runs the three modules' top-level code, the
-(M1) rule among it, so no module-level statement may hold one either: the
-decorators and defaults of every function, and everything of a class body
-but its methods' bodies, count as module-level.
+tensordot.  The path is the integer rule, the pp-form builder and
+evaluator, B_n, the Battle-Lemarie layer, natural_system, molecule_check,
+and _certify with its tables and rules.  Import runs the four modules'
+top-level code, the (M1) rule among it, so no module-level statement may
+hold one either: the decorators and defaults of every function, and
+everything of a class body but its methods' bodies, count as module-level.
 """
 
 import ast
@@ -20,8 +20,9 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "fracbesov"
 
 PATH = {
+    "specfun": ("_integer",),
     "splines": (
-        "_integer", "_bspline_piece_int", "_bspline_pieces", "_shaped", "PPForm",
+        "_bspline_piece_int", "_bspline_pieces", "_shaped", "PPForm",
         "bspline_ppform", "ppform_eval", "_bspline_natural_ppform", "bspline_natural",
     ),
     "battle_lemarie": (

@@ -22,7 +22,7 @@ from fracbesov.frac_wavelets import (
     molecule_params_for,
     natural_system,
 )
-from test_natural_oracle import molecule
+from oracles import molecule
 
 REFERENCE = Path(__file__).resolve().parents[1] / "fracbench" / "reference.json"
 SEED_M2 = json.loads(REFERENCE.read_text(encoding="utf-8"))["seed_outputs"]["bl_m2"]

@@ -1,11 +1,12 @@
 """Exact-rational oracle for the natural-order spline evaluators.
 
-B_n is computed at dyadic points in Fractions by the two-term recursion
-B_n(x) = (x B_{n-1}(x) + (n+1-x) B_{n-1}(x-1)) / n, point by point; every
-float input below is dyadic, so the oracle sees exactly the arguments the
-evaluators receive.  The same recursion on the integer coefficient lists
-of the pieces (Cox-de Boor) is the reference of the package's closed-form
-pieces and of the exact integer samples that the other test modules read.
+oracles.exact_bspline computes B_n at dyadic points in Fractions by the
+two-term recursion B_n(x) = (x B_{n-1}(x) + (n+1-x) B_{n-1}(x-1)) / n,
+point by point; every float input below is dyadic, so the oracle sees
+exactly the arguments the evaluators receive.  The same recursion on the
+integer coefficient lists of the pieces (oracles.cox_de_boor_pieces) is
+the reference of the package's closed-form pieces and of its exact
+integer samples.
 reference_filtered is the earlier evaluator, which built its pp-form table
 on every call and read every point: the evaluators that build the table
 once and read only the support must match it bit for bit on the
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracbesov import frac_wavelets as fw
-from fracbesov.battle_lemarie import bl_system, translate_weights, wavelet_localized
+from fracbesov.battle_lemarie import bl_system, wavelet_localized
 from fracbesov.frac_wavelets import molecule_check, molecule_params_for, natural_system
 from fracbesov.splines import (
     FractionalSpline,
@@ -35,58 +36,8 @@ from fracbesov.splines import (
     frac_bspline,
     ppform_eval,
 )
-
-
-def molecule(f, Q):
-    """The molecule m_Q of f at Q = (nu, tau): x -> 2^(nu/2) f(2^nu x - tau)."""
-    nu, tau = Q
-    return lambda x: 2.0 ** (nu / 2.0) * f(2.0**nu * x - tau)
-
-
-def bl_taps(sys) -> np.ndarray:
-    """The taps d_k, k = -n..2n+1, of the Battle-Lemarie wavelet's spline
-    sum_k d_k B_n(u - k): translate_weights reversed, convolved with the
-    signed binomial row of D = Delta^(n+1) B_n."""
-    row = [(-1.0) ** i * math.comb(sys.n + 1, i) for i in range(sys.n + 2)]
-    return np.convolve(translate_weights(sys)[::-1], row)
-
-
-@lru_cache(maxsize=None)
-def exact_bspline(n: int, x: Fraction) -> Fraction:
-    if n == 0:
-        return Fraction(1) if 0 <= x < 1 else Fraction(0)
-    return (x * exact_bspline(n - 1, x) + (n + 1 - x) * exact_bspline(n - 1, x - 1)) / n
-
-
-def cox_de_boor_pieces(n: int) -> list[list[int]]:
-    """P[p][d] with n! B_n(f + p) = sum_d P[p][d] f^d on 0 <= f < 1, p = 0..n.
-
-    The Cox-de Boor recursion k! B_k(f + p) = (f + p) (k-1)! B_{k-1}(f + p)
-    + (k + 1 - p - f) (k-1)! B_{k-1}(f + p - 1) on the integer coefficient
-    lists of the pieces, from 0! B_0 = [1] on p = 0.
-    """
-    P = [[1]]  # P[p][d] of k! B_k at level k, pieces p = 0..k
-    for k in range(1, n + 1):
-        nxt = []
-        for p in range(k + 1):
-            acc = [0] * (k + 1)
-            if p < k:  # (f + p) B_{k-1}(f + p)
-                for d, a in enumerate(P[p]):
-                    acc[d] += p * a
-                    acc[d + 1] += a
-            if p > 0:  # (k + 1 - p - f) B_{k-1}(f + p - 1)
-                for d, a in enumerate(P[p - 1]):
-                    acc[d] += (k + 1 - p) * a
-                    acc[d + 1] -= a
-            nxt.append(acc)
-        P = nxt
-    return P
-
-
-def integer_samples(n: int) -> tuple[Fraction, ...]:
-    """Exact (B_n(0), ..., B_n(n+1)): the recursion's constant terms over n!, then 0."""
-    nf = math.factorial(n)
-    return (*(Fraction(piece[0], nf) for piece in cox_de_boor_pieces(n)), Fraction(0))
+from oracles import (GRID_Y, PAIR_I, PAIR_J, bl_taps, cox_de_boor_pieces, exact_bspline,
+                     integer_samples, molecule, recording)
 
 
 def exact_filtered(n, u, c, k0):
@@ -319,12 +270,7 @@ def certifier_inputs() -> np.ndarray:
     """Every point molecule_check hands the function f of m_Q = molecule(f, Q):
     the grid, the +-2^-17 points of s = 1 and the (M1) nodes of s = 0, at
     (nu, tau) = (0, 0), (1, 3), (2, -5)."""
-    seen = []
-
-    def record(y):
-        seen.append(np.array(y, dtype=float))
-        return np.zeros_like(y)
-
+    record, seen = recording(np.zeros_like)
     for s in (0.0, 1.0):
         params = molecule_params_for(2.0, 2.0, s, 1.0, 2.0)
         for Q in ((0, 0), (1, 3), (2, -5)):
@@ -360,15 +306,10 @@ def test_certifier_matches_exact_derivative(n, bound):
     # most 3.9e-10
     params = molecule_params_for(2.0, 2.0, 1.0, 1.0, float(n))
     env, weight = fw._grid_tables(params.M, params.delta)
-    # the (M4) pairs of index strides 1, 4, 16, 64 as index arrays, in the
-    # order of the certifier's weight table
-    size, strides = fw._GRID_Y.size, (1, 4, 16, 64)
-    ix = np.concatenate([np.arange(st, size) for st in strides])
-    iy = np.concatenate([np.arange(size - st) for st in strides])
     sys, nat = bl_system(n), natural_system(n)
     taps = np.convolve(bl_taps(sys), [1.0, -1.0])
     for nu, tau in ((0, 0), (1, 0), (2, 3)):
-        y = fw._GRID_Y  # 2^nu x - tau on the certifier's grid, exactly
+        y = GRID_Y  # 2^nu x - tau on the certifier's grid, exactly
         if nu == 0:
             fn, d0, d1 = nat.scale_fn, nat.scale_fn(y), bspline_derivative(n, 1, y)
         else:
@@ -376,7 +317,8 @@ def test_certifier_matches_exact_derivative(n, bound):
             d1 = 2.0 * sys.kappa * ppform_eval(bspline_ppform(n - 1, taps, -n), 2.0 * y + n)
         # the certifier reads m_Q's pull-back, f itself
         r0, r1 = (float(np.max(np.abs(d) / env)) for d in (d0, d1))
-        m4 = float(np.max(np.abs(d1[ix] - d1[iy]) / weight))
+        # the (M4) pairs, in the order of the certifier's weight table
+        m4 = float(np.max(np.abs(d1[PAIR_I] - d1[PAIR_J]) / weight))
         star = "" if nu >= 1 else "*"
         got = molecule_check(fn, (nu, tau), params).conditions
         want = {"M3": max(r0, r1) if nu >= 1 else r1, "M4": m4}

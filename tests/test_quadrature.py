@@ -1,4 +1,4 @@
-"""graded_breaks, the panel breaks of the quadrature oracles in tests/,
+"""oracles.graded_breaks, the panel breaks of the quadrature oracles,
 against the set-based construction it replaced; panel_rule's
 Gauss-Legendre rule against a 40-digit mpmath rule."""
 
@@ -7,36 +7,7 @@ import numpy as np
 import pytest
 
 from fracbesov import frac_wavelets as fw
-
-
-def graded_breaks(
-    a: float, b: float, per_unit: int = 2, levels: int = 0
-) -> np.ndarray:
-    """Panel breakpoints on [a, b].
-
-    Breaks sit on the 1/per_unit lattice (so spline knots at integers or
-    half-integers are panel ends) and - when ``levels`` > 0 - on a
-    geometric cascade of width ratios 1/2 on both sides of each lattice
-    point: the offsets +-2^-g / per_unit, g = 1..levels, broadcast over the
-    lattice and kept strictly inside (a, b).  Grading makes a fixed-order
-    Gauss rule accurate for |x - knot|^alpha kinks.  The points are sorted
-    and every point within 1e-13 of its predecessor is dropped, which also
-    removes exact repeats.
-    """
-    if not b > a:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    lattice = offsets = np.empty(0)
-    if per_unit > 0:
-        lo = int(np.ceil(a * per_unit))
-        hi = int(np.floor(b * per_unit))
-        lattice = np.arange(lo, hi + 1) / per_unit
-        steps = 0.5 ** np.arange(1, levels + 1)
-        offsets = np.concatenate([-steps, steps]) / per_unit
-    graded = (lattice[:, None] + offsets).ravel()
-    graded = graded[(a < graded) & (graded < b)]
-    out = np.sort(np.concatenate([[a, b], lattice, graded]))
-    keep = np.concatenate([[True], np.diff(out) > 1e-13])
-    return out[keep]
+from oracles import GRID_Y, graded_breaks
 
 
 def reference_graded_breaks(a, b, per_unit=2, levels=0):
@@ -66,7 +37,7 @@ def test_molecule_windows():
         scale = 2.0**nu
         for tau in range(-8, 9):
             x_q = tau / scale if nu > 0 else float(tau)
-            grid = x_q + np.arange(-25.0, 25.0 + 1e-12, 1.0 / 16.0) / scale
+            grid = x_q + GRID_Y / scale
             a, b = float(grid.min()), float(grid.max())
             for levels in range(4):
                 args = (a, b, max(2, int(2 * scale)), levels)
@@ -102,7 +73,7 @@ def test_m1_rule_lattice():
     # eighth point of the reference grid: (M1)'s rule, built at import, is
     # bit for bit the one built on graded breaks, and read-only
     breaks = graded_breaks(-25.0, 25.0, per_unit=2)
-    assert np.array_equal(breaks, fw._GRID_Y[::8])
+    assert np.array_equal(breaks, GRID_Y[::8])
     assert breaks.size == 101
     for got, want in zip((fw._M1_NODES, fw._M1_WEIGHTS), fw.panel_rule(breaks, 12)):
         assert np.array_equal(got, want)

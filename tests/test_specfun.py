@@ -31,8 +31,9 @@ class TestHurwitz:
         assert got == pytest.approx(ref, rel=1e-14)
 
     def test_domain(self):
-        # s = inf and a = inf warned "invalid value" and returned NaN
-        for s in (1.0, 0.5, -2.0, np.inf, np.nan):
+        # s = inf and a = inf warned "invalid value" and returned NaN; "a"
+        # and None raised a bare TypeError, and True met the range by chance
+        for s in (1.0, 0.5, -2.0, np.inf, np.nan, "a", None, True, np.bool_(True)):
             with pytest.raises(ValueError, match="1 < s < inf"):
                 hurwitz_zeta(s, 0.5)
         for a in (0.0, -0.25, np.array([0.5, 0.0]), np.nan, np.inf, np.array([0.5, np.inf])):

@@ -8,23 +8,13 @@ name, so moving or renaming one of those miscounts the traced run.
 """
 
 import importlib
-import importlib.util
 import inspect
-import pathlib
 
 import pytest
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "fracbench" / "spans.py"
+from oracles import traced_targets
 
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("fracbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TARGETS = _load_spans().targets()
+TARGETS = traced_targets()
 
 # {position: name} of the arguments each counter of spans.py reads
 COUNTED_ARGS = {
